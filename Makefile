@@ -77,7 +77,8 @@ bench-guard:
 	rc=$$?; rm -f $$out; exit $$rc
 
 # Machine-readable benchmark snapshot: run the tier-1 benchmark subset
-# (simkit kernel micros at full benchtime plus the Fig10 / vanilla /
+# (simkit kernel micros at full benchtime, one check cell — whose B/op is
+# what a fleet worker allocates per cell — plus the Fig10 / vanilla /
 # optimized macros at one iteration each) and convert the output to
 # BENCH_<yyyymmdd>.json via cmd/benchjson. Commit the file to extend the
 # perf trajectory; the format is documented in EXPERIMENTS.md. An existing
@@ -100,6 +101,8 @@ bench-json:
 		./internal/pscavenge/ ; \
 	  $(GO) test -run XXX -benchtime 1x -benchmem \
 		-bench 'BenchmarkFig10$$|BenchmarkVanillaJVM$$|BenchmarkOptimizedJVM$$' . ; \
+	  $(GO) test -run XXX -benchmem \
+		-bench 'BenchmarkRunCell$$' ./internal/check/ ; \
 	  $(GO) test -run XXX -benchtime 1x -benchmem \
 		-bench 'BenchmarkFleetSweep$$' ./internal/fleet/ ; } \
 	| $(GO) run ./cmd/benchjson $(BENCHJSON_FLAGS) -o $(BENCH_JSON_OUT)

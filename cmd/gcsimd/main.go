@@ -94,6 +94,19 @@ func main() {
 	}
 }
 
+// newHTTPServer wraps the service handler with connection timeouts: a
+// client that never finishes its request headers, or parks an idle
+// keep-alive connection, cannot hold a connection open forever. There is
+// no write timeout because a /sweep response streams for as long as its
+// cells take; request bodies are bounded by the handler itself.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
 func serve(addr string, opts service.Options, fleetWorkers int) error {
 	s := service.New(opts)
 	defer s.Close()
@@ -113,7 +126,7 @@ func serve(addr string, opts service.Options, fleetWorkers int) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	srv := newHTTPServer(s.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	go func() {
@@ -216,7 +229,7 @@ func runSelftest(opts service.Options, n, conc, items int) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	srv := newHTTPServer(s.Handler())
 	go srv.Serve(ln)
 	defer srv.Close()
 	base := "http://" + ln.Addr().String()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sync"
 
 	"repro/internal/affinity"
 	"repro/internal/evtrace"
@@ -278,6 +279,14 @@ func RunCellOpts(cell Cell, o RunOptions) *CellResult {
 	return res
 }
 
+// scratchPool recycles machine storage (event arena, runqueues, heap
+// tables) across single-JVM cell runs, checked and bare alike, so a sweep
+// rebuilds it once per concurrent runner instead of twice per cell. A
+// sync.Pool keeps RunCell safe for simcheck's parallel callers. Reuse is
+// invisible in results (see jvm.Scratch). Multi-JVM cells run cold:
+// jvm.RunMultiTraced takes no scratch.
+var scratchPool = sync.Pool{New: func() any { return new(jvm.Scratch) }}
+
 // runCellOnce performs one simulation of the cell, optionally on a tracer.
 // Panics (e.g. a tripped VerifyHeap assertion) surface as errors so the
 // sweep reports the cell instead of dying.
@@ -305,9 +314,15 @@ func runCellOnce(cell Cell, items int, tr *evtrace.Tracer) (results []*jvm.Resul
 		cfgB.Mutators = 1 + cell.Mutators/2
 		return jvm.RunMultiTraced(cell.Seed, topo, nil, cell.BusyLoops, maxSim, tr, cfg, cfgB)
 	}
+	sc := scratchPool.Get().(*jvm.Scratch)
+	// Deferred so a panicking run still hands its scratch back: jvm.Scratch
+	// reinitializes its tables on acquisition, so one abandoned mid-run is
+	// safe to reuse.
+	defer scratchPool.Put(sc)
 	res, err := jvm.Run(jvm.RunSpec{
 		Config: cfg, Topo: topo, Seed: cell.Seed,
 		BusyLoops: cell.BusyLoops, MaxSim: maxSim, EvTracer: tr,
+		Scratch: sc,
 	})
 	if err != nil {
 		return nil, err

@@ -3,7 +3,10 @@ package check
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/evtrace"
 	"repro/internal/jvm"
@@ -124,5 +127,103 @@ func TestWriteViolationWindow(t *testing.T) {
 	// 10 seqs of context + the violation event itself.
 	if instants != 11 {
 		t.Errorf("window holds %d instants, want 11 (10 context + violation)", instants)
+	}
+}
+
+// TestRunCellScratchReuseInvisible: single-JVM cells build their machines
+// from pooled scratch storage, so a cell's storage was last used by
+// whichever cell ran before it. Running the same cells forward and then in
+// reverse hands every cell a different predecessor's scratch; the checked
+// and bare digests must not notice. The slice mixes in multi-JVM cells
+// (which run cold) and SMT cells, so pooled and unpooled machines and both
+// topology shapes alternate on the same scratch. A last pass runs the
+// cells from several goroutines at once, as simcheck's pool does, so the
+// race detector sees the scratch pool shared.
+func TestRunCellScratchReuseInvisible(t *testing.T) {
+	const n = 16
+	cells := make([]Cell, n)
+	multi, smt := false, false
+	for i := range cells {
+		cells[i] = CellAt(42, i)
+		multi = multi || cells[i].MultiJVM
+		smt = smt || cells[i].Topo == "smt40"
+	}
+	if !multi || !smt {
+		t.Fatalf("cells 0..%d lack a multi-JVM (%v) or SMT (%v) cell", n-1, multi, smt)
+	}
+	forward := make([]*CellResult, n)
+	for i, c := range cells {
+		forward[i] = RunCell(c)
+	}
+	same := func(pass string, i int, r *CellResult) {
+		f := forward[i]
+		if f.Failed() || r.Failed() {
+			t.Errorf("forward: %s\n%s: %s", f.Summary(), pass, r.Summary())
+			return
+		}
+		if r.Digest != f.Digest || r.BareDigest != f.BareDigest {
+			t.Errorf("%s: digests depend on the predecessor's scratch: forward %s/%s, %s %s/%s",
+				cells[i], short(f.Digest), short(f.BareDigest), pass, short(r.Digest), short(r.BareDigest))
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		same("reverse", i, RunCell(cells[i]))
+	}
+
+	concurrent := make([]*CellResult, n)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < n; i += 4 {
+				concurrent[i] = RunCell(cells[i])
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i, r := range concurrent {
+		same("concurrent", i, r)
+	}
+}
+
+// TestRunCellAllocBound: a warm single-JVM cell (checked run plus bare
+// replay) must allocate well under what one full set of default event
+// rings costs. A cell emits a few thousand events, so rings sized to what
+// it emits and a recycled machine keep it far below the bound; allocating
+// every layer's ring at DefaultSinkCap up front, or rebuilding both
+// machines from nothing, does not.
+func TestRunCellAllocBound(t *testing.T) {
+	cell := CellAt(42, 0)
+	if cell.MultiJVM {
+		t.Fatalf("%s: want a single-JVM cell", cell)
+	}
+	if r := RunCell(cell); r.Failed() { // warm the scratch pool
+		t.Fatal(r.Summary())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := RunCell(cell)
+	runtime.ReadMemStats(&after)
+	if r.Failed() {
+		t.Fatal(r.Summary())
+	}
+	rings := uint64(len(evtrace.Layers())) * evtrace.DefaultSinkCap * uint64(unsafe.Sizeof(evtrace.Event{}))
+	if got := after.TotalAlloc - before.TotalAlloc; got >= rings/4 {
+		t.Errorf("warm cell allocated %d bytes, want < %d (a quarter of %d layers x %d-slot rings)",
+			got, rings/4, len(evtrace.Layers()), evtrace.DefaultSinkCap)
+	}
+}
+
+// BenchmarkRunCell runs one fixed sweep cell (checked run plus bare
+// replay) per iteration; its B/op tracks what a fleet worker allocates per
+// cell.
+func BenchmarkRunCell(b *testing.B) {
+	cell := CellAt(42, 0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if r := RunCell(cell); r.Failed() {
+			b.Fatal(r.Summary())
+		}
 	}
 }

@@ -14,11 +14,12 @@
 // Emit call behind a nil check, so disabled tracing costs one predictable
 // branch and zero allocations (asserted by alloc tests here and by the
 // simkit kernel's zero-alloc tests). Enabled tracing appends into
-// preallocated per-layer ring buffers: pooled Event records, no per-event
-// allocation in steady state, oldest records overwritten when a sink is
-// full. Tracing never touches the simulation's RNG or event queue, so
-// enabling it cannot perturb simulated behaviour: golden outputs are
-// byte-identical with tracing on and off.
+// per-layer ring buffers grown on demand up to their capacity: pooled
+// Event records, no per-event allocation once a ring has reached its
+// capacity, oldest records overwritten when a sink is full. Tracing never
+// touches the simulation's RNG or event queue, so enabling it cannot
+// perturb simulated behaviour: golden outputs are byte-identical with
+// tracing on and off.
 //
 // This package intentionally imports nothing from the rest of the
 // repository (timestamps are raw int64 nanoseconds, not simkit.Time) so
@@ -240,10 +241,15 @@ type Event struct {
 	Name string
 }
 
-// sink is one layer's ring buffer. The buffer is allocated lazily on the
-// first emit to the layer and then reused forever; when full, the oldest
-// record is overwritten (the tail of a run is what the Perfetto UI and the
-// lock profiler want).
+// sink is one layer's ring buffer. cap is the ring's capacity, not its
+// first allocation: the buffer starts at min(cap, initSinkSlots) records
+// on the first emit to the layer and doubles (clamped to cap) each time it
+// fills, so a short run pays only for the events it emits. Growth never
+// discards a record, and the ring only wraps once it holds cap records;
+// from then on it is reused forever, the oldest record overwritten (the
+// tail of a run is what the Perfetto UI and the lock profiler want). The
+// retained events and drop counts are therefore exactly those of a ring
+// allocated at full cap.
 type sink struct {
 	buf   []Event
 	next  int
@@ -252,18 +258,31 @@ type sink struct {
 	cap   int
 }
 
+// initSinkSlots is the first allocation of a sink's ring (or its whole
+// capacity, when that is smaller).
+const initSinkSlots = 1024
+
 func (s *sink) put(e Event) {
-	if s.buf == nil {
-		s.buf = make([]Event, s.cap)
+	if s.next == len(s.buf) { // only before the ring first wraps
+		s.grow()
 	}
 	if s.full {
 		s.drops++
 	}
 	s.buf[s.next] = e
 	s.next++
-	if s.next == len(s.buf) {
+	if s.next == s.cap {
 		s.next, s.full = 0, true
 	}
+}
+
+// grow allocates the first ring or doubles a filled one, up to cap. It is
+// only called while the ring has not yet wrapped, so the retained records
+// are buf[:next] in emission order and a plain copy keeps them.
+func (s *sink) grow() {
+	buf := make([]Event, min(s.cap, max(initSinkSlots, 2*len(s.buf))))
+	copy(buf, s.buf)
+	s.buf = buf
 }
 
 // events appends the sink's records in emission order to out.
@@ -299,9 +318,12 @@ type Tracer struct {
 	subs  []func(Event)
 }
 
-// New creates a tracer whose per-layer rings hold capPerSink records each
-// (0 = DefaultSinkCap). Ring storage is allocated lazily per layer on
-// first use.
+// New creates a tracer whose per-layer rings hold at most capPerSink
+// records each (0 = DefaultSinkCap). capPerSink bounds the ring; it is not
+// allocated up front. A layer's storage starts at min(capPerSink, 1024)
+// records on its first emit and doubles as it fills, so a cell that emits
+// a few thousand events never pays for a full DefaultSinkCap ring, and a
+// ring that has reached capPerSink emits with zero allocations.
 func New(capPerSink int) *Tracer {
 	if capPerSink <= 0 {
 		capPerSink = DefaultSinkCap

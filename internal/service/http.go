@@ -36,6 +36,13 @@ const (
 // (split the sweep) rather than a way to monopolize the server.
 const maxSweepCells = 4096
 
+// maxBodyBytes bounds a /run or /sweep request body. The largest
+// legitimate body is a sweep with one axis at maxSweepCells values (4096
+// 64-bit seeds marshal to under 90 KiB), so 1 MiB leaves an order of
+// magnitude of headroom while a client can no longer make the decoder
+// buffer an unbounded body. Larger bodies are answered 413.
+const maxBodyBytes = 1 << 20
+
 // Handler returns the HTTP interface of the service.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -52,8 +59,11 @@ func (s *Service) Handler() http.Handler {
 // httpError writes a JSON error body with the status mapped from err.
 func httpError(w http.ResponseWriter, err error) {
 	var bad *BadScenarioError
+	var tooBig *http.MaxBytesError
 	status := http.StatusInternalServerError
 	switch {
+	case errors.As(err, &tooBig):
+		status = http.StatusRequestEntityTooLarge
 	case errors.As(err, &bad):
 		status = http.StatusBadRequest
 	case errors.Is(err, ErrQueueFull):
@@ -68,15 +78,17 @@ func httpError(w http.ResponseWriter, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-func decodeStrict(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// decodeStrict decodes one JSON request body into v, rejecting unknown
+// fields and bodies over maxBodyBytes (an *http.MaxBytesError).
+func decodeStrict(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
 }
 
 func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	var scn Scenario
-	if err := decodeStrict(r, &scn); err != nil {
+	if err := decodeStrict(w, r, &scn); err != nil {
 		httpError(w, &BadScenarioError{Err: fmt.Errorf("bad scenario: %w", err)})
 		return
 	}
@@ -151,7 +163,7 @@ type SweepCell struct {
 
 func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := decodeStrict(r, &req); err != nil {
+	if err := decodeStrict(w, r, &req); err != nil {
 		httpError(w, &BadScenarioError{Err: fmt.Errorf("bad sweep: %w", err)})
 		return
 	}

@@ -317,8 +317,11 @@ func (s *Service) runJob(j *job) {
 // executor and fleet sweep workers (ServeFleetWorker), so a cell's bytes
 // are identical whichever backend ran it. Every simulation carries a
 // pause-postmortem analyzer: blame attribution subscribes to the event
-// bus (a small ring suffices — the subscriber sees the whole stream) and
-// never perturbs the run, so the body stays deterministic per digest.
+// bus and never perturbs the run, so the body stays deterministic per
+// digest. The subscriber sees the whole stream whatever the rings retain,
+// so nothing reads them: 64-slot rings (allocated whole on a layer's first
+// emit, being under evtrace's initial ring size) keep the bus's own
+// storage negligible.
 func computeBody(digest string, spec jvm.RunSpec) ([]byte, error) {
 	tr := evtrace.New(64)
 	spec.EvTracer = tr

@@ -201,6 +201,51 @@ func TestBadScenarioIs400(t *testing.T) {
 	}
 }
 
+// An oversized request body is refused with 413 before it is decoded,
+// even when it is valid JSON (here a valid scenario behind a run of
+// whitespace), and runs nothing. The largest legitimate body — a sweep
+// whose one axis has maxSweepCells maximal seeds — stays well under the
+// limit.
+func TestOversizedBodyIs413(t *testing.T) {
+	s := newTestService(t, Options{})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	pad := bytes.Repeat([]byte(" "), maxBodyBytes)
+	for path, v := range map[string]any{
+		"/run":   tinyScenario(),
+		"/sweep": SweepRequest{Base: tinyScenario(), Seeds: []int64{1}},
+	} {
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(append(pad, body...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body: status %d, want 413", path, len(pad)+len(body), resp.StatusCode)
+		}
+	}
+	if n := s.runs.Load(); n != 0 {
+		t.Errorf("oversized bodies ran %d simulations, want 0", n)
+	}
+
+	seeds := make([]int64, maxSweepCells)
+	for i := range seeds {
+		seeds[i] = -1 << 63
+	}
+	largest, err := json.Marshal(SweepRequest{Base: tinyScenario(), Seeds: seeds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(largest) > maxBodyBytes/4 {
+		t.Errorf("largest legitimate sweep body is %d bytes, too close to the %d-byte limit", len(largest), maxBodyBytes)
+	}
+}
+
 // A sweep streams one NDJSON line per grid cell; rerunning the sweep
 // serves every cell from the cache with byte-identical predictions.
 func TestSweepNDJSONAndCacheReplay(t *testing.T) {
