@@ -50,10 +50,11 @@ bench-smoke:
 		-bench 'BenchmarkSimkitSchedule$$|BenchmarkSimkitCancel$$|BenchmarkCoroSwitch$$' \
 		./internal/simkit/
 
-# Zero-allocation guard: the kernel, heap, postmortem, steal-loop and
-# whole-scavenge micro-benchmarks must report 0 allocs/op. 1000 iterations
-# amortize one-time setup; any steady-state allocation on these hot paths
-# fails the build before it can show up as a Fig10 regression.
+# Zero-allocation guard: the kernel, heap, mutator cluster-allocation,
+# postmortem, steal-loop and whole-scavenge micro-benchmarks must report
+# 0 allocs/op. 1000 iterations amortize one-time setup; any steady-state
+# allocation on these hot paths fails the build before it can show up as
+# a Fig10 regression.
 bench-guard:
 	@out=$$(mktemp); \
 	{ $(GO) test -run XXX -benchtime=1000x -benchmem \
@@ -62,6 +63,9 @@ bench-guard:
 	  $(GO) test -run XXX -benchtime=1000x -benchmem \
 		-bench 'BenchmarkHeapAlloc$$|BenchmarkMinorGCTrace$$' \
 		./internal/heap/ && \
+	  $(GO) test -run XXX -benchtime=1000x -benchmem \
+		-bench 'BenchmarkAllocCluster$$' \
+		./internal/objgraph/ && \
 	  $(GO) test -run XXX -benchtime=1000x -benchmem \
 		-bench 'BenchmarkPostmortemAttribution$$|BenchmarkPostmortemDisabled$$' \
 		./internal/postmortem/ && \
@@ -77,7 +81,8 @@ bench-guard:
 	rc=$$?; rm -f $$out; exit $$rc
 
 # Machine-readable benchmark snapshot: run the tier-1 benchmark subset
-# (simkit kernel micros at full benchtime, one check cell — whose B/op is
+# (simkit kernel, heap and mutator cluster-allocation micros at full
+# benchtime, one single-JVM and one multi-JVM check cell — whose B/op is
 # what a fleet worker allocates per cell — plus the Fig10 / vanilla /
 # optimized macros at one iteration each) and convert the output to
 # BENCH_<yyyymmdd>.json via cmd/benchjson. Commit the file to extend the
@@ -94,6 +99,9 @@ bench-json:
 		-bench 'BenchmarkHeapAlloc$$|BenchmarkMinorGCTrace$$' \
 		./internal/heap/ ; \
 	  $(GO) test -run XXX -benchmem \
+		-bench 'BenchmarkAllocCluster$$' \
+		./internal/objgraph/ ; \
+	  $(GO) test -run XXX -benchmem \
 		-bench 'BenchmarkStealLoop$$' \
 		./internal/taskq/ ; \
 	  $(GO) test -run XXX -benchmem \
@@ -102,7 +110,7 @@ bench-json:
 	  $(GO) test -run XXX -benchtime 1x -benchmem \
 		-bench 'BenchmarkFig10$$|BenchmarkVanillaJVM$$|BenchmarkOptimizedJVM$$' . ; \
 	  $(GO) test -run XXX -benchmem \
-		-bench 'BenchmarkRunCell$$' ./internal/check/ ; \
+		-bench 'BenchmarkRunCell$$|BenchmarkRunCellMultiJVM$$' ./internal/check/ ; \
 	  $(GO) test -run XXX -benchtime 1x -benchmem \
 		-bench 'BenchmarkFleetSweep$$' ./internal/fleet/ ; } \
 	| $(GO) run ./cmd/benchjson $(BENCHJSON_FLAGS) -o $(BENCH_JSON_OUT)

@@ -235,7 +235,15 @@ func RunCell(cell Cell) *CellResult {
 func RunCellOpts(cell Cell, o RunOptions) *CellResult {
 	res := &CellResult{Cell: cell}
 
-	tr := evtrace.New(0)
+	tr := tracerPool.Get().(*evtrace.Tracer)
+	defer func() {
+		// A failed cell hands its tracer to the caller for triage; only
+		// a tracer that stays private goes back to the pool.
+		if res.Tracer != tr {
+			tr.Reset()
+			tracerPool.Put(tr)
+		}
+	}()
 	ck := New()
 	ck.Attach(tr)
 	an := postmortem.New()
@@ -280,12 +288,15 @@ func RunCellOpts(cell Cell, o RunOptions) *CellResult {
 }
 
 // scratchPool recycles machine storage (event arena, runqueues, heap
-// tables) across single-JVM cell runs, checked and bare alike, so a sweep
-// rebuilds it once per concurrent runner instead of twice per cell. A
-// sync.Pool keeps RunCell safe for simcheck's parallel callers. Reuse is
-// invisible in results (see jvm.Scratch). Multi-JVM cells run cold:
-// jvm.RunMultiTraced takes no scratch.
+// tables) across cell runs, single- and multi-JVM, checked and bare alike,
+// so a sweep rebuilds it once per concurrent runner instead of twice per
+// cell. A sync.Pool keeps RunCell safe for simcheck's parallel callers.
+// Reuse is invisible in results (see jvm.Scratch).
 var scratchPool = sync.Pool{New: func() any { return new(jvm.Scratch) }}
+
+// tracerPool recycles checked runs' event buses. A tracer keeps its grown
+// rings across Reset, so a warm cell emits without growing them again.
+var tracerPool = sync.Pool{New: func() any { return evtrace.New(0) }}
 
 // runCellOnce performs one simulation of the cell, optionally on a tracer.
 // Panics (e.g. a tripped VerifyHeap assertion) surface as errors so the
@@ -309,16 +320,16 @@ func runCellOnce(cell Cell, items int, tr *evtrace.Tracer) (results []*jvm.Resul
 	}
 	topo := cell.topology()
 	const maxSim = 5 * 60 * simkit.Second
-	if cell.MultiJVM {
-		cfgB := cfg
-		cfgB.Mutators = 1 + cell.Mutators/2
-		return jvm.RunMultiTraced(cell.Seed, topo, nil, cell.BusyLoops, maxSim, tr, cfg, cfgB)
-	}
 	sc := scratchPool.Get().(*jvm.Scratch)
 	// Deferred so a panicking run still hands its scratch back: jvm.Scratch
 	// reinitializes its tables on acquisition, so one abandoned mid-run is
 	// safe to reuse.
 	defer scratchPool.Put(sc)
+	if cell.MultiJVM {
+		cfgB := cfg
+		cfgB.Mutators = 1 + cell.Mutators/2
+		return jvm.RunMultiTraced(cell.Seed, topo, nil, cell.BusyLoops, maxSim, tr, sc, cfg, cfgB)
+	}
 	res, err := jvm.Run(jvm.RunSpec{
 		Config: cfg, Topo: topo, Seed: cell.Seed,
 		BusyLoops: cell.BusyLoops, MaxSim: maxSim, EvTracer: tr,

@@ -3,6 +3,7 @@ package check
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -130,15 +131,18 @@ func TestWriteViolationWindow(t *testing.T) {
 	}
 }
 
-// TestRunCellScratchReuseInvisible: single-JVM cells build their machines
-// from pooled scratch storage, so a cell's storage was last used by
-// whichever cell ran before it. Running the same cells forward and then in
-// reverse hands every cell a different predecessor's scratch; the checked
-// and bare digests must not notice. The slice mixes in multi-JVM cells
-// (which run cold) and SMT cells, so pooled and unpooled machines and both
-// topology shapes alternate on the same scratch. A last pass runs the
-// cells from several goroutines at once, as simcheck's pool does, so the
-// race detector sees the scratch pool shared.
+// TestRunCellScratchReuseInvisible: cells build their machines from
+// pooled scratch storage and emit into pooled tracers, so a cell's
+// storage was last used by whichever cell ran before it. Running the same
+// cells forward and then in reverse hands every cell a different
+// predecessor's scratch; the checked and bare digests must not notice. The
+// slice mixes multi-JVM cells, whose second JVM instance has its own
+// sub-scratch, with single-JVM and SMT cells, and a transitions pass runs
+// a single- or multi-JVM cell after each kind of predecessor (a different
+// cell of either kind), so every ordering of the two shapes meets on the
+// same scratch. A last pass runs the cells from several goroutines at
+// once, as simcheck's pool does, so the race detector sees the pools
+// shared.
 func TestRunCellScratchReuseInvisible(t *testing.T) {
 	const n = 16
 	cells := make([]Cell, n)
@@ -170,6 +174,22 @@ func TestRunCellScratchReuseInvisible(t *testing.T) {
 		same("reverse", i, RunCell(cells[i]))
 	}
 
+	var singles, multis []int
+	for i, c := range cells {
+		if c.MultiJVM {
+			multis = append(multis, i)
+		} else {
+			singles = append(singles, i)
+		}
+	}
+	if len(multis) < 2 {
+		t.Fatalf("cells 0..%d hold %d multi-JVM cells, want 2", n-1, len(multis))
+	}
+	// single→single, single→multi, multi→multi, multi→single.
+	for _, i := range []int{singles[0], singles[1], multis[0], multis[1], singles[0]} {
+		same("transitions", i, RunCell(cells[i]))
+	}
+
 	concurrent := make([]*CellResult, n)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -187,39 +207,112 @@ func TestRunCellScratchReuseInvisible(t *testing.T) {
 	}
 }
 
-// TestRunCellAllocBound: a warm single-JVM cell (checked run plus bare
-// replay) must allocate well under what one full set of default event
-// rings costs. A cell emits a few thousand events, so rings sized to what
-// it emits and a recycled machine keep it far below the bound; allocating
-// every layer's ring at DefaultSinkCap up front, or rebuilding both
-// machines from nothing, does not.
+// TestRunCellAllocBound: a warm cell (checked run plus bare replay) must
+// allocate well under what one full set of default event rings costs. A
+// cell emits a few thousand events, so rings sized to what it emits and a
+// recycled machine keep a single-JVM cell far below a quarter of the
+// rings; allocating every layer's ring at DefaultSinkCap up front, or
+// rebuilding both machines from nothing, does not. A multi-JVM cell,
+// whose machine and tracer are recycled too, must stay under an eighth of
+// one default ring.
 func TestRunCellAllocBound(t *testing.T) {
-	cell := CellAt(42, 0)
-	if cell.MultiJVM {
-		t.Fatalf("%s: want a single-JVM cell", cell)
+	ring := uint64(evtrace.DefaultSinkCap) * uint64(unsafe.Sizeof(evtrace.Event{}))
+	rings := uint64(len(evtrace.Layers())) * ring
+	single := CellAt(42, 0)
+	if single.MultiJVM {
+		t.Fatalf("%s: want a single-JVM cell", single)
 	}
-	if r := RunCell(cell); r.Failed() { // warm the scratch pool
+	if r := RunCell(single); r.Failed() { // warm the scratch pool
 		t.Fatal(r.Summary())
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	r := RunCell(cell)
+	r := RunCell(single)
 	runtime.ReadMemStats(&after)
 	if r.Failed() {
 		t.Fatal(r.Summary())
 	}
-	rings := uint64(len(evtrace.Layers())) * evtrace.DefaultSinkCap * uint64(unsafe.Sizeof(evtrace.Event{}))
 	if got := after.TotalAlloc - before.TotalAlloc; got >= rings/4 {
 		t.Errorf("warm cell allocated %d bytes, want < %d (a quarter of %d layers x %d-slot rings)",
 			got, rings/4, len(evtrace.Layers()), evtrace.DefaultSinkCap)
+	}
+
+	multi := CellAt(42, 4)
+	if !multi.MultiJVM {
+		t.Fatalf("%s: want a multi-JVM cell", multi)
+	}
+	if r := RunCell(multi); r.Failed() { // warm the pools for this shape
+		t.Fatal(r.Summary())
+	}
+	// The pools are sync.Pools, which may drop what they hold: at a GC,
+	// and at random under the race detector. So the cell's warm cost is
+	// the cheapest of up to 24 runs; a run that found the pools full ends
+	// the search.
+	best := ^uint64(0)
+	for i := 0; i < 24 && best >= ring/8; i++ {
+		runtime.ReadMemStats(&before)
+		r := RunCell(multi)
+		runtime.ReadMemStats(&after)
+		if r.Failed() {
+			t.Fatal(r.Summary())
+		}
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	if best >= ring/8 {
+		t.Errorf("warm multi-JVM cell allocated %d bytes, want < %d (an eighth of one %d-slot ring)",
+			best, ring/8, evtrace.DefaultSinkCap)
+	}
+	t.Logf("warm multi-JVM cell: %d bytes", best)
+}
+
+// TestFailedCellTracerSurvivesLaterCells: a failed cell hands its tracer
+// to the caller for triage, so that tracer must never go back to the pool:
+// cells run afterwards, which reset and reuse pooled tracers, must leave
+// its events, drops and thread names intact.
+func TestFailedCellTracerSurvivesLaterCells(t *testing.T) {
+	// Twenty times the default workload overflows the cfs ring, which
+	// fails the cell with dropped events.
+	failed := RunCellOpts(CellAt(42, 0), RunOptions{Items: 20 * DefaultItems, SkipBare: true})
+	if !failed.Failed() || failed.Drops == 0 || failed.Tracer == nil {
+		t.Fatalf("want a cell failed by ring drops that returns its tracer, got drops=%d tracer=%v: %s",
+			failed.Drops, failed.Tracer != nil, failed.Summary())
+	}
+	tr := failed.Tracer
+	events, drops, names := tr.Events(), tr.Drops(), map[int32]string{}
+	if len(events) == 0 || len(drops) == 0 {
+		t.Fatalf("the failed cell's tracer holds %d events and drops %v, want its run's", len(events), drops)
+	}
+	for _, e := range events {
+		names[e.TID] = tr.ThreadName(e.TID)
+	}
+	for _, i := range []int{0, 1, 4, 2, 9} {
+		if r := RunCell(CellAt(42, i)); r.Failed() {
+			t.Fatal(r.Summary())
+		}
+	}
+	if got := tr.Events(); !reflect.DeepEqual(got, events) {
+		t.Fatalf("the failed cell's tracer changed after later cells ran: %d events, had %d", len(got), len(events))
+	}
+	if got := tr.Drops(); !reflect.DeepEqual(got, drops) {
+		t.Errorf("Drops = %v after later cells, had %v", got, drops)
+	}
+	for tid, name := range names {
+		if got := tr.ThreadName(tid); got != name {
+			t.Errorf("ThreadName(%d) = %q after later cells, had %q", tid, got, name)
+		}
 	}
 }
 
 // BenchmarkRunCell runs one fixed sweep cell (checked run plus bare
 // replay) per iteration; its B/op tracks what a fleet worker allocates per
 // cell.
-func BenchmarkRunCell(b *testing.B) {
-	cell := CellAt(42, 0)
+func BenchmarkRunCell(b *testing.B) { benchmarkRunCell(b, CellAt(42, 0)) }
+
+// BenchmarkRunCellMultiJVM is BenchmarkRunCell on a cell whose machine
+// runs two JVMs (§5.7).
+func BenchmarkRunCellMultiJVM(b *testing.B) { benchmarkRunCell(b, CellAt(42, 4)) }
+
+func benchmarkRunCell(b *testing.B, cell Cell) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if r := RunCell(cell); r.Failed() {

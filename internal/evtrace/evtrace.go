@@ -335,6 +335,26 @@ func New(capPerSink int) *Tracer {
 	return t
 }
 
+// Reset empties the tracer for another run: the sequence counter, every
+// ring's retained events and drop count, the thread names and the
+// subscribers are cleared, while each ring keeps its capacity and the
+// storage it has grown. Afterwards the tracer behaves exactly like a fresh
+// New with the same capacity, but emits without growing its rings again
+// up to their previous size. Safe on a nil tracer (no-op).
+func (t *Tracer) Reset() {
+	if t == nil {
+		return
+	}
+	t.seq = 0
+	for i := range t.sinks {
+		s := &t.sinks[i]
+		s.next, s.full, s.drops = 0, false, 0
+	}
+	clear(t.names)
+	clear(t.subs)
+	t.subs = t.subs[:0]
+}
+
 // Enabled reports whether the tracer records events (false for nil).
 func (t *Tracer) Enabled() bool { return t != nil }
 

@@ -21,7 +21,7 @@ func TestLockProfilesMultiJVM(t *testing.T) {
 	cfg := jvm.Config{Profile: p, Mutators: 4, GCThreads: 4}
 	tr := evtrace.New(0)
 	_, err := jvm.RunMultiTraced(42, ostopo.PaperTestbed(), nil, 0,
-		5*60*simkit.Second, tr, cfg, cfg)
+		5*60*simkit.Second, tr, nil, cfg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -299,10 +299,7 @@ func runIndexed(opt Options, idx int, cfg jvm.Config, seedOff int64, busy int) *
 // so a sweep rebuilds its event arenas, runqueues, and heap object tables
 // once per worker instead of once per cell.
 func runSpec(opt Options, idx int, spec jvm.RunSpec) *jvm.Result {
-	sc, _ := opt.Pool.GetScratch().(*jvm.Scratch)
-	if sc == nil {
-		sc = new(jvm.Scratch)
-	}
+	sc := poolScratch(opt)
 	spec.Scratch = sc
 	defer opt.Pool.PutScratch(sc)
 	var tr *evtrace.Tracer
@@ -347,6 +344,15 @@ func runSpec(opt Options, idx int, spec jvm.RunSpec) *jvm.Result {
 		opt.Timeline.Result = r
 	}
 	return r
+}
+
+// poolScratch takes a machine scratch from the pool's free-list, or a new
+// one when the list is empty; the caller hands it back with PutScratch.
+func poolScratch(opt Options) *jvm.Scratch {
+	if sc, _ := opt.Pool.GetScratch().(*jvm.Scratch); sc != nil {
+		return sc
+	}
+	return new(jvm.Scratch)
 }
 
 // runSpecCells fans prepared RunSpecs out on the pool with the same

@@ -360,7 +360,9 @@ func Fig15(opt Options) *Result {
 				cfgA = cfgA.WithOptimizations()
 				cfgB = cfgB.WithOptimizations()
 			}
-			rs, err := jvm.RunMulti(opt.Seed+seedOff, nil, nil, 0, 0, cfgA, cfgB)
+			sc := poolScratch(opt)
+			defer opt.Pool.PutScratch(sc)
+			rs, err := jvm.RunMultiTraced(opt.Seed+seedOff, nil, nil, 0, 0, nil, sc, cfgA, cfgB)
 			if err != nil {
 				panic(err)
 			}

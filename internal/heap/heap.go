@@ -36,6 +36,8 @@ const (
 	SpaceTo
 	// SpaceOld is the old (tenured) generation.
 	SpaceOld
+
+	numSpaces = iota // number of valid Space values
 )
 
 func (s Space) String() string {
@@ -224,9 +226,9 @@ func (h *Heap) Usage() (eden, from, old int64) { return h.edenUsed, h.fromUsed, 
 
 // Refs returns object id's outgoing references as a view into the shared
 // arena. The view is invalidated by any operation that can grow or compact
-// the arena (Alloc, AllocOld, AddRef, FinishMinorGC, FinishMajorGC); don't
-// hold it across those. In-place writes through the view are visible to the
-// heap (TrimAnchor-style filtering relies on this).
+// the arena (Alloc, AllocCluster, AllocOld, AddRef, FinishMinorGC,
+// FinishMajorGC); don't hold it across those. In-place writes through the
+// view are visible to the heap (TrimAnchor-style filtering relies on this).
 func (h *Heap) Refs(id ObjID) []ObjID {
 	m := &h.meta[id]
 	return h.refs[m.refOff : m.refOff+m.refLen : m.refOff+m.refCap]
@@ -260,9 +262,6 @@ func (h *Heap) LiveObjects() int {
 	return len(h.eden) + len(h.from) + len(h.to) + len(h.old)
 }
 
-// EdenFull reports whether an allocation of size bytes would overflow eden.
-func (h *Heap) EdenFull(size int32) bool { return h.edenUsed+int64(size) > h.cfg.EdenBytes }
-
 // OldOccupancy returns the old generation's fill fraction.
 func (h *Heap) OldOccupancy() float64 { return float64(h.oldUsed) / float64(h.cfg.OldBytes) }
 
@@ -288,6 +287,40 @@ func (h *Heap) Alloc(size int32, refs ...ObjID) (ObjID, bool) {
 	h.edenUsed += int64(size)
 	h.initRefs(id, refs)
 	return id, true
+}
+
+// AllocCluster allocates a mutator cluster in eden in one call: a head
+// object of size sizes[0] referencing one child per remaining size. Eden
+// capacity is checked once for the whole cluster; when it does not fit,
+// nothing is allocated and ok is false.
+//
+// The result is exactly that of allocating each child with Alloc, in
+// order, and then the head with Alloc(sizes[0], children...): children
+// take their IDs first (free list, then table growth), eden holds the
+// children and then the head, and Stats count every object.
+func (h *Heap) AllocCluster(sizes []int32) (ObjID, bool) {
+	if len(sizes) == 0 {
+		panic("heap: AllocCluster needs a head object")
+	}
+	var need int64
+	for _, sz := range sizes {
+		if sz <= 0 {
+			panic("heap: AllocCluster with non-positive size")
+		}
+		need += int64(sz)
+	}
+	if h.edenUsed+need > h.cfg.EdenBytes {
+		return 0, false
+	}
+	start := len(h.eden)
+	for _, sz := range sizes[1:] {
+		h.eden = append(h.eden, h.newObject(sz, SpaceEden))
+	}
+	head := h.newObject(sizes[0], SpaceEden)
+	h.eden = append(h.eden, head)
+	h.edenUsed += need
+	h.initRefs(head, h.eden[start:len(h.eden)-1])
+	return head, true
 }
 
 // AllocOld allocates directly in the old generation (humongous or cached
@@ -716,10 +749,14 @@ func (h *Heap) ReachableFrom(roots []ObjID) map[ObjID]bool {
 // operations. It returns an error describing the first violation.
 func (h *Heap) CheckInvariants() error {
 	var eden, from, to, old int64
-	count := map[Space]int{}
+	var count [numSpaces]int
 	for id := 1; id < len(h.meta); id++ {
-		count[h.meta[id].space]++
-		switch h.meta[id].space {
+		sp := h.meta[id].space
+		if sp >= numSpaces {
+			return fmt.Errorf("object %d has invalid space %v", id, sp)
+		}
+		count[sp]++
+		switch sp {
 		case SpaceEden:
 			eden += int64(h.meta[id].size)
 		case SpaceFrom:

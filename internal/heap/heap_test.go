@@ -63,11 +63,11 @@ func TestAllocFailsWhenEdenFull(t *testing.T) {
 	if _, ok := h.Alloc(60); ok {
 		t.Error("alloc beyond eden capacity succeeded")
 	}
-	if !h.EdenFull(60) {
-		t.Error("EdenFull(60) = false")
+	if _, ok := h.AllocCluster([]int32{30, 30}); ok {
+		t.Error("cluster beyond eden capacity succeeded")
 	}
-	if h.EdenFull(40) {
-		t.Error("EdenFull(40) = true, but it fits")
+	if _, ok := h.AllocCluster([]int32{20, 20}); !ok {
+		t.Error("cluster filling eden exactly failed")
 	}
 }
 

@@ -78,21 +78,23 @@ func Run(spec RunSpec) (*Result, error) {
 // RunMulti executes several JVMs sharing one machine (§5.7) and returns
 // their results in order.
 func RunMulti(seed int64, topo *ostopo.Topology, sched *cfs.Params, busyLoops int, maxSim simkit.Time, cfgs ...Config) ([]*Result, error) {
-	return RunMultiTraced(seed, topo, sched, busyLoops, maxSim, nil, cfgs...)
+	return RunMultiTraced(seed, topo, sched, busyLoops, maxSim, nil, nil, cfgs...)
 }
 
 // RunMultiTraced is RunMulti with a shared event-bus tracer attached from
 // machine construction on (nil disables tracing). Each JVM's monitors and
 // task ids are namespaced by its instance, so one bus carries all of them
-// unambiguously.
-func RunMultiTraced(seed int64, topo *ostopo.Topology, sched *cfs.Params, busyLoops int, maxSim simkit.Time, tr *evtrace.Tracer, cfgs ...Config) ([]*Result, error) {
+// unambiguously. sc, when non-nil, supplies pooled backing arrays for the
+// machine and every JVM instance on it, harvested back before returning
+// (nil runs cold); reuse never changes results (see Scratch).
+func RunMultiTraced(seed int64, topo *ostopo.Topology, sched *cfs.Params, busyLoops int, maxSim simkit.Time, tr *evtrace.Tracer, sc *Scratch, cfgs ...Config) ([]*Result, error) {
 	if topo == nil {
 		topo = ostopo.PaperTestbed()
 	}
 	if maxSim <= 0 {
 		maxSim = 20 * 60 * simkit.Second
 	}
-	m := NewMachineTraced(seed, topo, sched, tr)
+	m := NewMachineScratch(seed, topo, sched, tr, sc)
 	defer m.Close()
 	if busyLoops > 0 {
 		m.AddBusyLoops(busyLoops)

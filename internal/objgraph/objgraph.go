@@ -98,12 +98,11 @@ type Mutator struct {
 	retHead   int          // index of the oldest retained entry
 	anchor    heap.ObjID   // old-gen structure this mutator grows
 
-	// Scratch buffers reused across calls. The heap copies child
-	// references into the object record, so handing it the same backing
-	// array every time is safe; roots is only read between Roots calls.
-	sizes    []int32
-	children []heap.ObjID
-	roots    []heap.ObjID
+	// Scratch buffers reused across calls. The heap reads cluster sizes
+	// only during AllocCluster, so handing it the same backing array
+	// every time is safe; roots is only read between Roots calls.
+	sizes []int32
+	roots []heap.ObjID
 
 	AllocatedBytes int64
 	Clusters       int64
@@ -163,20 +162,8 @@ func (m *Mutator) AllocCluster() (bytes int64, ok bool) {
 		sizes[i] = m.objSize()
 		need += int64(sizes[i])
 	}
-	if m.h.EdenFull(int32(min64(need, 1<<30))) {
-		return 0, false
-	}
-	children := m.children[:0]
-	for i := 1; i < len(sizes); i++ {
-		id, ok := m.h.Alloc(sizes[i])
-		if !ok {
-			return 0, false
-		}
-		children = append(children, id)
-	}
-	m.children = children[:0]
-	head, hok := m.h.Alloc(sizes[0], children...)
-	if !hok {
+	head, ok := m.h.AllocCluster(sizes)
+	if !ok {
 		return 0, false
 	}
 	// Occasionally link to another live head: object graphs are graphs.
@@ -274,11 +261,4 @@ func (m *Mutator) TrimAnchor(frac float64) {
 		}
 	}
 	m.h.TruncateRefs(m.anchor, keep)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

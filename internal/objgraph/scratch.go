@@ -7,9 +7,9 @@ import (
 )
 
 // Scratch pools the per-mutator working buffers — stack/retained root
-// windows, the roots snapshot, and the AllocCluster size/child staging
-// arrays — across simulation cells, indexed by mutator ID so each mutator
-// gets back buffers already sized for its windows. All buffers hold ObjIDs
+// windows, the roots snapshot, and the AllocCluster size staging array —
+// across simulation cells, indexed by mutator ID so each mutator gets
+// back buffers already sized for its windows. All buffers hold ObjIDs
 // or sizes (no pointers), so truncation alone recycles them. The zero value
 // is ready to use.
 type Scratch struct {
@@ -20,7 +20,6 @@ type mutScratch struct {
 	stack    []heap.ObjID
 	retained []heap.ObjID
 	sizes    []int32
-	children []heap.ObjID
 	roots    []heap.ObjID
 }
 
@@ -39,7 +38,6 @@ func NewMutatorWith(id int, h *heap.Heap, p Params, rng *rand.Rand, sc *Scratch)
 		m.stack = ms.stack[:0]
 		m.retained = ms.retained[:0]
 		m.sizes = ms.sizes[:0]
-		m.children = ms.children[:0]
 		m.roots = ms.roots[:0]
 		*ms = mutScratch{}
 	}
@@ -56,8 +54,7 @@ func (m *Mutator) Reclaim(sc *Scratch) {
 		stack:    m.stack[:0],
 		retained: m.retained[:0],
 		sizes:    m.sizes[:0],
-		children: m.children[:0],
 		roots:    m.roots[:0],
 	}
-	m.stack, m.retained, m.sizes, m.children, m.roots = nil, nil, nil, nil, nil
+	m.stack, m.retained, m.sizes, m.roots = nil, nil, nil, nil
 }

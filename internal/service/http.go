@@ -119,13 +119,31 @@ type SweepRequest struct {
 	Seeds         []int64  `json:"seeds,omitempty"`
 }
 
-// Cells expands the grid into scenarios in deterministic cell order.
-func (sr SweepRequest) Cells() []Scenario {
-	dims := []int{
+// dims returns the grid's axis lengths in cell-numbering order.
+func (sr SweepRequest) dims() []int {
+	return []int{
 		len(sr.Mutators), len(sr.GCThreads), len(sr.HeapMB),
 		len(sr.Optimizations), len(sr.Seeds),
 	}
-	grid := experiments.GridIndexes(dims)
+}
+
+// exceedsMaxCells reports whether Cells would expand the grid to more than
+// maxSweepCells cells, without expanding it. The running product stops at
+// the first axis that takes it over the limit, so it cannot overflow.
+func (sr SweepRequest) exceedsMaxCells() bool {
+	n := 1
+	for _, d := range sr.dims() {
+		n *= max(d, 1) // an empty axis holds the base value
+		if n > maxSweepCells {
+			return true
+		}
+	}
+	return false
+}
+
+// Cells expands the grid into scenarios in deterministic cell order.
+func (sr SweepRequest) Cells() []Scenario {
+	grid := experiments.GridIndexes(sr.dims())
 	cells := make([]Scenario, len(grid))
 	for c, idx := range grid {
 		scn := sr.Base
@@ -167,12 +185,12 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, &BadScenarioError{Err: fmt.Errorf("bad sweep: %w", err)})
 		return
 	}
-	cells := req.Cells()
-	if len(cells) > maxSweepCells {
+	if req.exceedsMaxCells() {
 		httpError(w, &BadScenarioError{Err: fmt.Errorf(
-			"sweep expands to %d cells, max %d — split it", len(cells), maxSweepCells)})
+			"sweep too large: expands to more than %d cells — split it", maxSweepCells)})
 		return
 	}
+	cells := req.Cells()
 	if workers, cmd := s.fleetBackend(); cmd != nil {
 		s.fleetSweep(w, r, cells, workers, cmd)
 		return

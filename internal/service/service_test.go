@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -393,6 +394,73 @@ func TestSweepCellDerivation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), "split") {
 		t.Errorf("oversize sweep: status %d body %s", resp.StatusCode, b)
+	}
+}
+
+// An oversized grid is refused before it is expanded: a small body whose
+// five 8-value axes ask for 32,768 cells is answered 400 while the server
+// allocates almost nothing for it (expanding it first costs megabytes of
+// index slices and scenarios).
+func TestOversizeSweepRejectedBeforeExpansion(t *testing.T) {
+	s := newTestService(t, Options{})
+	h := s.Handler()
+	axis := []int{1, 2, 3, 4, 5, 6, 7, 8}
+	req := SweepRequest{
+		Base:     tinyScenario(),
+		Mutators: axis, GCThreads: axis, HeapMB: axis,
+		Optimizations: []string{"none", "all", "none", "all", "none", "all", "none", "all"},
+		Seeds:         []int64{1, 2, 3, 4, 5, 6, 7, 8},
+	}
+	if !req.exceedsMaxCells() {
+		t.Fatal("a 32768-cell grid does not exceed the cell limit")
+	}
+	if at := (SweepRequest{Mutators: axis, GCThreads: axis, HeapMB: axis, Seeds: req.Seeds}); at.exceedsMaxCells() {
+		t.Fatal("a grid of exactly maxSweepCells cells exceeds the cell limit")
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	hreq := httptest.NewRequest(http.MethodPost, "/sweep", bytes.NewReader(body))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, hreq)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "too large") {
+		t.Fatalf("32768-cell sweep: status %d body %s", rec.Code, rec.Body)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Errorf("rejecting a %d-byte oversize sweep allocated %d bytes, want < %d", len(body), got, 64<<10)
+	}
+	if n := s.runs.Load(); n != 0 {
+		t.Errorf("oversize sweep ran %d simulations, want 0", n)
+	}
+}
+
+// A grid whose cell count overflows an int (five 8,192-value axes, 2^65
+// cells) is too large, not a wrapped — possibly zero — count.
+func TestSweepCellCountSaturates(t *testing.T) {
+	const n = 8192
+	req := SweepRequest{
+		Base:     tinyScenario(),
+		Mutators: make([]int, n), GCThreads: make([]int, n), HeapMB: make([]int, n),
+		Optimizations: make([]string, n), Seeds: make([]int64, n),
+	}
+	if !req.exceedsMaxCells() {
+		t.Fatal("a 2^65-cell grid does not exceed the cell limit")
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) > maxBodyBytes {
+		t.Fatalf("test body is %d bytes, over the %d-byte limit", len(body), maxBodyBytes)
+	}
+	rec := httptest.NewRecorder()
+	newTestService(t, Options{}).Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/sweep", bytes.NewReader(body)))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "too large") {
+		t.Fatalf("2^65-cell sweep: status %d body %s", rec.Code, rec.Body)
 	}
 }
 
