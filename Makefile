@@ -83,8 +83,9 @@ bench-guard:
 # Machine-readable benchmark snapshot: run the tier-1 benchmark subset
 # (simkit kernel, heap and mutator cluster-allocation micros at full
 # benchtime, one single-JVM and one multi-JVM check cell — whose B/op is
-# what a fleet worker allocates per cell — plus the Fig10 / vanilla /
-# optimized macros at one iteration each) and convert the output to
+# what a fleet worker allocates per cell — the Fig10 / vanilla /
+# optimized macros at one iteration each, and gcsimd's cold path in
+# scenarios/s) and convert the output to
 # BENCH_<yyyymmdd>.json via cmd/benchjson. Commit the file to extend the
 # perf trajectory; the format is documented in EXPERIMENTS.md. An existing
 # same-day snapshot is never clobbered — rerun with
@@ -112,7 +113,9 @@ bench-json:
 	  $(GO) test -run XXX -benchmem \
 		-bench 'BenchmarkRunCell$$|BenchmarkRunCellMultiJVM$$' ./internal/check/ ; \
 	  $(GO) test -run XXX -benchtime 1x -benchmem \
-		-bench 'BenchmarkFleetSweep$$' ./internal/fleet/ ; } \
+		-bench 'BenchmarkFleetSweep$$' ./internal/fleet/ ; \
+	  $(GO) test -run XXX -benchmem \
+		-bench 'BenchmarkServiceCold$$' ./internal/service/ ; } \
 	| $(GO) run ./cmd/benchjson $(BENCHJSON_FLAGS) -o $(BENCH_JSON_OUT)
 	@echo "wrote $(BENCH_JSON_OUT)"
 

@@ -203,16 +203,21 @@ func BuildRunSpec(cfg Config) (jvm.RunSpec, error) {
 	case OptAll:
 		jcfg = jcfg.WithOptimizations()
 	}
-	topo := ostopo.PaperTestbed()
-	if cfg.SMT {
-		topo = ostopo.PaperTestbedSMT()
-	}
 	return jvm.RunSpec{
 		Config:    jcfg,
-		Topo:      topo,
+		Topo:      cfg.Topology(),
 		Seed:      cfg.Seed,
 		BusyLoops: cfg.BusyLoops,
 	}, nil
+}
+
+// Topology returns the simulated machine the configuration runs on: the
+// paper's testbed, with SMT enabled when c.SMT is set.
+func (c Config) Topology() *ostopo.Topology {
+	if c.SMT {
+		return ostopo.PaperTestbedSMT()
+	}
+	return ostopo.PaperTestbed()
 }
 
 // Compare runs a configuration vanilla and with all optimizations, and

@@ -113,7 +113,7 @@ func Fig3d(opt Options) *Result {
 	for ci, clients := range clientSweep {
 		cells = append(cells, cell{jvm.Config{
 			Profile: workload.Cassandra(), Mutators: 16,
-			Clients: clients, Requests: opt.requests(20000),
+			Clients: clients, Requests: opt.requests(workload.FullRequests),
 		}, int64(3000 + ci), 0})
 	}
 	rs := runCells(opt, cells)

@@ -248,7 +248,7 @@ func Fig13(opt Options) *Result {
 			p.ServiceCompute = p.ServiceCompute * 13 / 10
 			p.ServiceClusters++
 		}
-		base := jvm.Config{Profile: p, Mutators: 16, Clients: 256, Requests: opt.requests(20000)}
+		base := jvm.Config{Profile: p, Mutators: 16, Clients: 256, Requests: opt.requests(workload.FullRequests)}
 		cells = append(cells,
 			cell{base, int64(14500 + i*10), 0},
 			cell{base.WithOptimizations(), int64(14500 + i*10 + 1), 0})

@@ -6,11 +6,12 @@
 // Determinism is the superpower: one scenario always simulates to the
 // same result, so responses are cached in an LRU keyed by the canonical
 // config digest (core.Config.Digest), identical concurrent requests are
-// coalesced onto one simulation (singleflight), and queued scenarios are
-// batched through a shared runner.Pool whose per-worker scratch reuse
-// keeps marginal cost low. Admission control bounds the queue — a full
-// queue rejects rather than collapses (429) — and every request carries a
-// timeout.
+// coalesced onto one simulation (singleflight), and each admitted
+// scenario goes to the next free worker, which reuses its warm
+// per-worker scratch from a shared runner.Pool to keep marginal cost low.
+// Admission control bounds the queue — a full queue rejects rather than
+// collapses (429) — every scenario field is bounded before it can take a
+// worker (400), and every request carries a timeout.
 package service
 
 import (
@@ -68,9 +69,9 @@ func (s Scenario) Config() (core.Config, error) {
 	if s.Benchmark == "" {
 		return core.Config{}, fmt.Errorf("benchmark is required")
 	}
-	if s.Mutators < 0 || s.GCThreads < 0 || s.HeapMB < 0 || s.Items < 0 ||
-		s.Clients < 0 || s.Requests < 0 || s.BusyLoops < 0 {
-		return core.Config{}, fmt.Errorf("negative counts are not a thing the testbed simulates")
+	p, err := workload.ByName(s.Benchmark)
+	if err != nil {
+		return core.Config{}, err
 	}
 	cfg := core.Config{
 		Mutators:      s.Mutators,
@@ -83,20 +84,54 @@ func (s Scenario) Config() (core.Config, error) {
 		SMT:           s.SMT,
 		Seed:          s.Seed,
 	}
+	if err := s.checkLimits(p, cfg.Topology().NumCPUs()); err != nil {
+		return core.Config{}, err
+	}
 	if s.Items > 0 {
-		p, err := workload.ByName(s.Benchmark)
-		if err != nil {
-			return core.Config{}, err
-		}
 		p.TotalItems = s.Items
 		cfg.Profile = p
 	} else {
-		if _, err := workload.ByName(s.Benchmark); err != nil {
-			return core.Config{}, err
-		}
 		cfg.Benchmark = s.Benchmark
 	}
 	return cfg, nil
+}
+
+// maxThreadsPerCPU bounds each thread count of a scenario (mutators, GC
+// threads, busy loops) per logical CPU of the simulated testbed. The
+// largest settings the repository runs stay well inside it: 16 mutators,
+// 40 GC threads and 10 busy loops on the 20-CPU machine.
+const maxThreadsPerCPU = 4
+
+// maxHeapMB bounds heap_mb at 64 GiB, twice the largest heap of Fig. 14
+// (kmeans at 32 GiB).
+const maxHeapMB = 64 << 10
+
+// checkLimits keeps every field that sizes the simulation between zero
+// and the largest run the testbed models, because an admitted scenario
+// holds a worker until its simulation ends. Thread counts scale with the
+// simulated machine's ncpus logical CPUs; items are bounded by the
+// benchmark's full-size run (none for a server benchmark, which is sized
+// by requests); requests by a full-size server run; and clients likewise,
+// since each client issues its first request up front.
+func (s Scenario) checkLimits(p workload.Profile, ncpus int) error {
+	threads := maxThreadsPerCPU * ncpus
+	for _, f := range []struct {
+		name     string
+		val, max int
+	}{
+		{"mutators", s.Mutators, threads},
+		{"gc_threads", s.GCThreads, threads},
+		{"busy_loops", s.BusyLoops, threads},
+		{"items", s.Items, p.TotalItems},
+		{"requests", s.Requests, workload.FullRequests},
+		{"clients", s.Clients, workload.FullRequests},
+		{"heap_mb", s.HeapMB, maxHeapMB},
+	} {
+		if f.val < 0 || f.val > f.max {
+			return fmt.Errorf("%s = %d is outside the simulated range 0..%d for %s", f.name, f.val, f.max, p.Name)
+		}
+	}
+	return nil
 }
 
 // Prediction is the response body for one scenario: the predicted GC,

@@ -57,13 +57,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// job is one admitted scenario on its way through the batch executor.
+// job is one admitted scenario on its way to a worker.
 type job struct {
-	spec   jvm.RunSpec
-	digest string
-	done   chan struct{} // closed when body/err are final
-	body   []byte
-	err    error
+	spec     jvm.RunSpec
+	digest   string
+	admitted time.Time     // when admit queued it; a worker's pick-up ends its queue wait
+	done     chan struct{} // closed when body/err are final
+	body     []byte
+	err      error
 }
 
 // Service is the cached what-if engine. Construct with New, serve it over
@@ -88,8 +89,8 @@ type Service struct {
 	fleetCmd     func(i int) (*exec.Cmd, error)
 	fleetGate    chan struct{}
 
-	dispatcherDone chan struct{}
-	started        time.Time
+	workers sync.WaitGroup // the long-lived worker goroutines; Close waits for them
+	started time.Time
 
 	// Counters for /metrics (atomics: requests arrive concurrently).
 	requests  atomic.Int64 // scenario requests (run + sweep cells)
@@ -110,40 +111,45 @@ type Service struct {
 	latCold      stats.Histogram // OutcomeMiss: executed the simulation
 	latHit       stats.Histogram // OutcomeHit: served from the LRU
 	latCoalesced stats.Histogram // OutcomeCoalesced: joined an in-flight run
+
+	// queueWait is each job's admission wait in milliseconds: from admit
+	// to the moment a worker picks the job up. Head-of-line blocking
+	// shows here, not in the per-outcome latencies.
+	queueWait stats.Histogram
 }
 
-// New starts a Service: one dispatcher goroutine batching admitted
-// scenarios through a bounded worker pool.
+// New starts a Service with Options.Workers long-lived worker goroutines,
+// each taking the next admitted scenario off the admission queue as soon
+// as it is free.
 func New(opts Options) *Service {
 	opts = opts.withDefaults()
 	s := &Service{
-		opts:           opts,
-		pool:           runner.New(opts.Workers),
-		cache:          newLRUCache(opts.CacheSize),
-		inflight:       make(map[string]*job),
-		queue:          make(chan *job, opts.QueueCap),
-		fleetGate:      make(chan struct{}, 1),
-		dispatcherDone: make(chan struct{}),
-		started:        time.Now(),
+		opts:      opts,
+		pool:      runner.New(opts.Workers),
+		cache:     newLRUCache(opts.CacheSize),
+		inflight:  make(map[string]*job),
+		queue:     make(chan *job, opts.QueueCap),
+		fleetGate: make(chan struct{}, 1),
+		started:   time.Now(),
 	}
-	go s.dispatch()
+	s.workers.Add(s.pool.Workers())
+	for range s.pool.Workers() {
+		go s.work()
+	}
 	return s
 }
 
 // Close drains the queue (every admitted job still completes, so no
-// waiter is stranded) and stops the dispatcher. Requests arriving after
-// Close get ErrClosed.
+// waiter is stranded) and returns once every worker has exited. Requests
+// arriving after Close get ErrClosed.
 func (s *Service) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		<-s.dispatcherDone
-		return
+	if !s.closed {
+		s.closed = true
+		close(s.queue) // enqueues happen under mu, so this cannot race a send
 	}
-	s.closed = true
-	close(s.queue) // enqueues happen under mu, so this cannot race a send
 	s.mu.Unlock()
-	<-s.dispatcherDone
+	s.workers.Wait()
 }
 
 // Outcome labels how a request was satisfied (the X-Gcsimd-Cache header).
@@ -156,7 +162,7 @@ const (
 )
 
 // Run answers one scenario: cache hit, coalesce onto an identical
-// in-flight simulation, or admit a new job into the batch executor. The
+// in-flight simulation, or admit a new job for the next free worker. The
 // returned body is the exact cached byte slice — callers must not mutate
 // it.
 func (s *Service) Run(ctx context.Context, scn Scenario) (body []byte, out Outcome, err error) {
@@ -230,7 +236,7 @@ func (s *Service) admit(digest string, spec jvm.RunSpec) (*job, Outcome, error) 
 		s.rejected.Add(1)
 		return nil, "", ErrQueueFull
 	}
-	j := &job{spec: spec, digest: digest, done: make(chan struct{})}
+	j := &job{spec: spec, digest: digest, admitted: time.Now(), done: make(chan struct{})}
 	// Each in-flight job occupies the channel at most once and admission
 	// is gated on the in-flight count, so this send cannot block; the
 	// default branch is a belt-and-suspenders reject, not a code path.
@@ -244,34 +250,20 @@ func (s *Service) admit(digest string, spec jvm.RunSpec) (*job, Outcome, error) 
 	return j, OutcomeMiss, nil
 }
 
-// dispatch is the batch executor: it blocks for one admitted job, drains
-// whatever else is already queued into the same batch, and fans the batch
-// across the worker pool. Per-worker scratch (runner.Pool's free-list)
-// carries event arenas and heap tables from cell to cell, so a busy
-// server rebuilds its expensive state once per worker, not once per
-// request — even when consecutive cells have completely different
-// topologies and scales.
-func (s *Service) dispatch() {
-	defer close(s.dispatcherDone)
-	for {
-		j, ok := <-s.queue
-		if !ok {
-			return
-		}
-		batch := []*job{j}
-	drain:
-		for {
-			select {
-			case next, ok := <-s.queue:
-				if !ok {
-					break drain
-				}
-				batch = append(batch, next)
-			default:
-				break drain
-			}
-		}
-		s.pool.ForEach(len(batch), func(i int) { s.runJob(batch[i]) })
+// work is one worker: it takes the next admitted job the moment it is
+// free, so no worker idles while a scenario waits, and exits once Close
+// has closed the queue and the queue is empty. Each job runs as its own
+// one-task ForEach, which times just the job into the pool's stats — the
+// wait for the next job is not busy time. Per-worker scratch
+// (runner.Pool's free-list) carries event arenas and heap tables from
+// job to job, so a busy server rebuilds its expensive state once per
+// worker, not once per request — even when consecutive scenarios have
+// completely different topologies and scales.
+func (s *Service) work() {
+	defer s.workers.Done()
+	for j := range s.queue {
+		s.queueWait.Add(float64(time.Since(j.admitted)) / 1e6)
+		s.pool.ForEach(1, func(int) { s.runJob(j) })
 	}
 }
 
@@ -382,8 +374,10 @@ func (s *Service) registry() *evtrace.Registry {
 	reg.Counter("service.cache_entries").Set(int64(s.cache.Len()))
 	reg.Counter("service.workers").Set(int64(s.pool.Workers()))
 
+	// Admitted and not finished — queued or running: the count the
+	// admission bound compares with QueueCap.
 	s.mu.Lock()
-	depth := len(s.queue) + len(s.inflight)
+	depth := len(s.inflight)
 	s.mu.Unlock()
 	reg.Gauge("service.queue_depth").Set(float64(depth))
 
@@ -403,6 +397,7 @@ func (s *Service) registry() *evtrace.Registry {
 	hist("service.latency_cold_ms", &s.latCold)
 	hist("service.latency_hit_ms", &s.latHit)
 	hist("service.latency_coalesced_ms", &s.latCoalesced)
+	hist("service.queue_wait_ms", &s.queueWait)
 	_, busy := s.pool.Stats()
 	wall := time.Since(s.started)
 	if wall > 0 && s.pool.Workers() > 0 {

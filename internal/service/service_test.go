@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -193,6 +194,7 @@ func TestBadScenarioIs400(t *testing.T) {
 		"no benchmark":      Scenario{},
 		"bad opt level":     Scenario{Benchmark: "lusearch", Optimizations: "warp-speed"},
 		"unknown field":     map[string]any{"benchmark": "lusearch", "warp": 9},
+		"too many mutators": Scenario{Benchmark: "lusearch", Mutators: 1 << 20},
 	} {
 		resp := postJSON(t, srv.URL+"/run", scn)
 		resp.Body.Close()
@@ -587,4 +589,276 @@ func TestSweepClientDisconnectStopsAdmission(t *testing.T) {
 	if runs >= 48 {
 		t.Fatalf("all %d cells simulated despite mid-stream disconnect", runs)
 	}
+}
+
+// Every field that sizes a simulation is bounded before the scenario can
+// take a worker: thread counts by the simulated machine, items by the
+// benchmark's full-size run, requests and clients by a full-size server
+// run, the heap by twice Fig. 14's largest. Every scenario the repository
+// itself sends stays accepted.
+func TestScenarioLimits(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		scn  Scenario
+		ok   bool
+	}{
+		{"loadgen and perfbench shape", tinyScenario(), true},
+		{"selftest sweep cell", Scenario{Benchmark: "lusearch", Items: 1500, Mutators: 2, GCThreads: 2, Seed: 1}, true},
+		{"heaptuning largest heap", Scenario{Benchmark: "lusearch", Mutators: 16, HeapMB: 900, Optimizations: "all", Seed: 31}, true},
+		{"fig14 kmeans 32 GiB", Scenario{Benchmark: "kmeans(large)", Mutators: 16, HeapMB: 32 << 10}, true},
+		{"fig3d cassandra", Scenario{Benchmark: "cassandra", Mutators: 16, Clients: 256, Requests: 20000}, true},
+		{"gc-stress 40 GC threads", Scenario{Benchmark: "lusearch", Items: 15000, Mutators: 16, GCThreads: 40, HeapMB: 15}, true},
+		{"fig15 busy loops", Scenario{Benchmark: "lusearch", Mutators: 16, BusyLoops: 10}, true},
+		{"full-size lusearch", Scenario{Benchmark: "lusearch", Items: 60000}, true},
+		{"4 threads per CPU", Scenario{Benchmark: "lusearch", Mutators: 80, GCThreads: 80, BusyLoops: 80}, true},
+		{"4 threads per SMT CPU", Scenario{Benchmark: "lusearch", Mutators: 160, SMT: true}, true},
+
+		{"negative mutators", Scenario{Benchmark: "lusearch", Mutators: -1}, false},
+		{"mutators over 4 per CPU", Scenario{Benchmark: "lusearch", Mutators: 81}, false},
+		{"mutators over 4 per SMT CPU", Scenario{Benchmark: "lusearch", Mutators: 161, SMT: true}, false},
+		{"huge gc_threads", Scenario{Benchmark: "lusearch", GCThreads: 1 << 30}, false},
+		{"busy_loops over 4 per CPU", Scenario{Benchmark: "lusearch", BusyLoops: 81}, false},
+		{"items over the full run", Scenario{Benchmark: "lusearch", Items: 60001}, false},
+		{"items on a server benchmark", Scenario{Benchmark: "cassandra", Items: 1}, false},
+		{"requests over a full run", Scenario{Benchmark: "cassandra", Requests: 20001}, false},
+		{"clients over a full run", Scenario{Benchmark: "cassandra", Clients: 20001}, false},
+		{"heap over 64 GiB", Scenario{Benchmark: "kmeans(large)", HeapMB: 64<<10 + 1}, false},
+		{"heap at MaxInt", Scenario{Benchmark: "lusearch", HeapMB: int(^uint(0) >> 1)}, false},
+	} {
+		_, err := tc.scn.Config()
+		if tc.ok && err != nil {
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%s: accepted %+v", tc.name, tc.scn)
+		}
+	}
+}
+
+// blockSimulate replaces the simulation with one that reports each run's
+// seed on started and then waits for release. Its cleanup releases every
+// run, closes s and only then restores the real simulation, so no worker
+// reads simulate while it is being restored.
+func blockSimulate(t *testing.T, s *Service) (started <-chan int64, release func()) {
+	t.Helper()
+	old := simulate
+	ch := make(chan int64, 16) // more than any test starts, so a report never blocks a worker
+	gate := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	simulate = func(spec jvm.RunSpec) (*jvm.Result, error) {
+		ch <- spec.Seed
+		<-gate
+		return &jvm.Result{Benchmark: "blocked"}, nil
+	}
+	t.Cleanup(func() {
+		release()
+		s.Close()
+		simulate = old
+	})
+	return ch, release
+}
+
+func seeded(seed int64) Scenario {
+	scn := tinyScenario()
+	scn.Seed = seed
+	return scn
+}
+
+type runResult struct {
+	body []byte
+	err  error
+}
+
+// runAsync starts s.Run(scn) and delivers its result on the channel.
+func runAsync(s *Service, scn Scenario) <-chan runResult {
+	ch := make(chan runResult, 1)
+	go func() {
+		body, _, err := s.Run(context.Background(), scn)
+		ch <- runResult{body, err}
+	}()
+	return ch
+}
+
+func awaitStart(t *testing.T, started <-chan int64, seed int64) {
+	t.Helper()
+	select {
+	case got := <-started:
+		if got != seed {
+			t.Fatalf("simulation of seed %d started, want seed %d", got, seed)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("simulation of seed %d did not start within 5 s", seed)
+	}
+}
+
+func awaitResult(t *testing.T, res <-chan runResult) {
+	t.Helper()
+	select {
+	case r := <-res:
+		if r.err != nil || len(r.body) == 0 {
+			t.Fatalf("waiter got %d body bytes, err %v", len(r.body), r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter got no answer within 5 s")
+	}
+}
+
+// awaitInflight waits until n scenarios are admitted and unfinished.
+func awaitInflight(t *testing.T, s *Service, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		got := len(s.inflight)
+		s.mu.Unlock()
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d scenarios in flight after 5 s, want %d", got, n)
+		}
+	}
+}
+
+// A free worker takes the next admitted scenario while another worker is
+// still simulating: B must start while A is blocked.
+func TestFreeWorkerTakesNextScenario(t *testing.T) {
+	s := newTestService(t, Options{Workers: 2})
+	started, release := blockSimulate(t, s)
+	a := runAsync(s, seeded(1))
+	awaitStart(t, started, 1)
+	b := runAsync(s, seeded(2))
+	awaitStart(t, started, 2)
+	release()
+	awaitResult(t, a)
+	awaitResult(t, b)
+}
+
+// With one job running and one queued, queue_depth reads 2 (each admitted
+// job counted once), and the queued job's admission wait reaches
+// service.queue_wait_ms in both exposition formats.
+func TestQueueDepthAndWaitMetrics(t *testing.T) {
+	s := newTestService(t, Options{Workers: 1})
+	started, release := blockSimulate(t, s)
+	a := runAsync(s, seeded(1))
+	awaitStart(t, started, 1)
+	b := runAsync(s, seeded(2))
+	awaitInflight(t, s, 2)
+	metric := func(name string) (float64, bool) {
+		for _, m := range s.Metrics() {
+			if m.Name == name {
+				return m.Value, true
+			}
+		}
+		return 0, false
+	}
+	if depth, _ := metric("service.queue_depth"); depth != 2 {
+		t.Errorf("queue_depth with 1 running and 1 queued = %v, want 2", depth)
+	}
+
+	const held = 30 * time.Millisecond
+	time.Sleep(held)
+	release()
+	awaitResult(t, a)
+	awaitResult(t, b)
+	if n, _ := metric("service.queue_wait_ms.count"); n != 2 {
+		t.Errorf("queue_wait_ms.count = %v, want 2", n)
+	}
+	if sum, _ := metric("service.queue_wait_ms.sum"); sum < float64(held)/1e6 {
+		t.Errorf("queue_wait_ms.sum = %v ms, want at least the %v the second job waited", sum, held)
+	}
+	var prom bytes.Buffer
+	if err := s.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`service_queue_wait_ms{quantile="0.99"}`, "service_queue_wait_ms_count 2"} {
+		if !strings.Contains(prom.String(), want) {
+			t.Errorf("Prometheus text lacks %q:\n%s", want, prom.String())
+		}
+	}
+}
+
+// Close with queued jobs lets every admitted job finish and every waiter
+// get its body, and returns only once all of them have run.
+func TestCloseDrainsQueuedJobs(t *testing.T) {
+	s := newTestService(t, Options{Workers: 1})
+	started, release := blockSimulate(t, s)
+	var waiters []<-chan runResult
+	waiters = append(waiters, runAsync(s, seeded(1)))
+	awaitStart(t, started, 1)
+	waiters = append(waiters, runAsync(s, seeded(2)), runAsync(s, seeded(3)))
+	awaitInflight(t, s, 3)
+
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while admitted jobs were still blocked")
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return within 5 s of the jobs finishing")
+	}
+	if got := s.runs.Load(); got != 3 {
+		t.Errorf("Close returned after %d of 3 admitted jobs ran", got)
+	}
+	for _, w := range waiters {
+		awaitResult(t, w)
+	}
+	if _, _, err := s.Run(context.Background(), seeded(4)); !errors.Is(err, ErrClosed) {
+		t.Errorf("Run after Close: err = %v, want ErrClosed", err)
+	}
+}
+
+// Workers waiting for a job are idle, not busy: a 2-worker service that
+// ran one tiny scenario and then sat idle reports worker_busy_frac well
+// under 1, also after Close has ended the workers.
+func TestIdleWorkersAreNotBusy(t *testing.T) {
+	s := newTestService(t, Options{Workers: 2})
+	if _, _, err := s.Run(context.Background(), tinyScenario()); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(200 * time.Millisecond)
+	s.Close()
+	for _, m := range s.Metrics() {
+		if m.Name == "service.worker_busy_frac" {
+			if m.Value >= 0.5 {
+				t.Errorf("worker_busy_frac = %.2f after one tiny run and 200 ms idle, want well under 1", m.Value)
+			}
+			return
+		}
+	}
+	t.Fatal("service.worker_busy_frac missing")
+}
+
+// BenchmarkServiceCold is the service's cold path end to end: b.N
+// distinct scenarios (the load generator's shape, distinct seeds, so every
+// one is a simulation) through Service.Run from Workers concurrent
+// callers. It reports cold scenarios per second.
+func BenchmarkServiceCold(b *testing.B) {
+	s := New(Options{})
+	defer s.Close()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for range s.pool.Workers() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1); i <= int64(b.N); i = next.Add(1) {
+				if _, out, err := s.Run(context.Background(), seeded(i)); err != nil || out != OutcomeMiss {
+					b.Errorf("scenario %d: outcome %q, err %v", i, out, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "scenarios/s")
 }

@@ -309,6 +309,10 @@ func Pagerank(size DataSize) Profile {
 	return p
 }
 
+// FullRequests is the request count of a full-size server run: the
+// paper's Cassandra experiments (Figs. 3d and 13) issue 20000 reads.
+const FullRequests = 20000
+
 // Cassandra returns the Cassandra server profile (8 GB heap, §5.1).
 func Cassandra() Profile {
 	return Profile{
