@@ -51,10 +51,10 @@ bench-smoke:
 		./internal/simkit/
 
 # Zero-allocation guard: the kernel, heap, mutator cluster-allocation,
-# postmortem, steal-loop and whole-scavenge micro-benchmarks must report
-# 0 allocs/op. 1000 iterations amortize one-time setup; any steady-state
-# allocation on these hot paths fails the build before it can show up as
-# a Fig10 regression.
+# postmortem, steal-loop, monitor-acquire and whole-scavenge
+# micro-benchmarks must report 0 allocs/op. 1000 iterations amortize
+# one-time setup; any steady-state allocation on these hot paths fails the
+# build before it can show up as a Fig10 regression.
 bench-guard:
 	@out=$$(mktemp); \
 	{ $(GO) test -run XXX -benchtime=1000x -benchmem \
@@ -73,6 +73,9 @@ bench-guard:
 		-bench 'BenchmarkStealLoop$$' \
 		./internal/taskq/ && \
 	  $(GO) test -run XXX -benchtime=1000x -benchmem \
+		-bench 'BenchmarkMonitorAcquire$$' \
+		./internal/jmutex/ && \
+	  $(GO) test -run XXX -benchtime=1000x -benchmem \
 		-bench 'BenchmarkMinorGC$$' \
 		./internal/pscavenge/ ; } > $$out || { cat $$out; rm -f $$out; exit 1; }; \
 	cat $$out; \
@@ -81,9 +84,10 @@ bench-guard:
 	rc=$$?; rm -f $$out; exit $$rc
 
 # Machine-readable benchmark snapshot: run the tier-1 benchmark subset
-# (simkit kernel, heap and mutator cluster-allocation micros at full
-# benchtime, one single-JVM and one multi-JVM check cell — whose B/op is
-# what a fleet worker allocates per cell — the Fig10 / vanilla /
+# (simkit kernel, heap, mutator cluster-allocation, steal-loop,
+# monitor-acquire and scavenge micros at full benchtime, one single-JVM
+# and one multi-JVM check cell — whose B/op is what a fleet worker
+# allocates per cell — the Fig10 / vanilla /
 # optimized macros at one iteration each, and gcsimd's cold path in
 # scenarios/s) and convert the output to
 # BENCH_<yyyymmdd>.json via cmd/benchjson. Commit the file to extend the
@@ -105,6 +109,9 @@ bench-json:
 	  $(GO) test -run XXX -benchmem \
 		-bench 'BenchmarkStealLoop$$' \
 		./internal/taskq/ ; \
+	  $(GO) test -run XXX -benchmem \
+		-bench 'BenchmarkMonitorAcquire$$' \
+		./internal/jmutex/ ; \
 	  $(GO) test -run XXX -benchmem \
 		-bench 'BenchmarkMinorGC$$' \
 		./internal/pscavenge/ ; \

@@ -88,6 +88,16 @@ func (b *Balancer) WorkerStart(e *cfs.Env, w int) {
 	}
 }
 
+// GCWakeHook returns the engine's OnGCWake hook for b's mode: GCWake under
+// ModeDynamic, and nil in every other mode, where GCWake would return at
+// once, so the engine skips the call and the GC thread's body resume.
+func (b *Balancer) GCWakeHook() func(e *cfs.Env, w int) {
+	if b.Mode != ModeDynamic {
+		return nil
+	}
+	return b.GCWake
+}
+
 // GCWake is the engine's OnGCWake hook: Algorithm 1, run by each GC thread
 // when it wakes for a new collection.
 func (b *Balancer) GCWake(e *cfs.Env, w int) {

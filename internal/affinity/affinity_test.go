@@ -127,6 +127,15 @@ func TestNonDynamicGCWakeIsNoop(t *testing.T) {
 	}
 }
 
+func TestGCWakeHookOnlyWhenDynamic(t *testing.T) {
+	_, k := newKernel(t, false)
+	for _, m := range []Mode{ModeNone, ModeStatic, ModeDynamic, ModeNUMANode} {
+		if got, want := New(m, k).GCWakeHook() != nil, m == ModeDynamic; got != want {
+			t.Errorf("%v: GCWakeHook set = %v, want %v", m, got, want)
+		}
+	}
+}
+
 func TestNodeOfMapping(t *testing.T) {
 	_, k := newKernel(t, false)
 	b := New(ModeNUMANode, k)

@@ -291,9 +291,12 @@ func (c *core) onTimer(kind timerKind) {
 		// event could interleave, so this is observably identical to the
 		// stage-and-fire path.
 		for {
-			if !c.planArm(t) {
+			switch c.planArm(t) {
+			case armDone:
 				// Plan exhausted: ask the body for its next request.
 				k.advance(t)
+				return
+			case armLeft:
 				return
 			}
 			if !k.shutdown && len(c.rq) == 0 && c.curr == t {
@@ -450,19 +453,33 @@ func (c *core) pickNext() {
 // only the coroutine round trip is elided. Returns false when the thread
 // has no plan (the caller resumes the body instead).
 func (c *core) planContinue(t *Thread) bool {
-	if !c.planArm(t) {
+	switch c.planArm(t) {
+	case armDone:
 		return false
+	case armSlice:
+		c.reprogram()
 	}
-	c.reprogram()
 	return true
 }
+
+// armResult is what planArm did with the current thread.
+type armResult uint8
+
+const (
+	armDone  armResult = iota // no plan left: the caller resumes the body
+	armSlice                  // t.remaining holds the next plan slice
+	armLeft                   // a yield, sleep or park took the thread off the CPU
+)
 
 // planArm loads the current thread's next compute-plan slice into
 // t.remaining without programming a timer. onTimer's inline batch loop uses
 // it directly so a successful FireInline can skip the timer round trip;
 // every other caller goes through planContinue, which arms and reprograms.
-// Returns false when the thread has no plan left.
-func (c *core) planArm(t *Thread) bool {
+// A yield, sleep or park the plan returns is performed here exactly as
+// advance performs the body's; when it keeps the thread on the CPU the plan
+// is consulted again at the same instant, and when it does not the plan
+// stays attached for the next dispatch.
+func (c *core) planArm(t *Thread) armResult {
 	k := c.k
 	if t.planLeft != 0 {
 		if t.planLeft > 0 {
@@ -470,7 +487,7 @@ func (c *core) planArm(t *Thread) bool {
 		}
 		t.remaining = t.planSlice
 		k.Stats.PlanElisions++
-		return true
+		return armSlice
 	}
 	if fn := t.planFn; fn != nil {
 		// The callback acts on the thread's behalf (it may Unpark waiters,
@@ -478,22 +495,30 @@ func (c *core) planArm(t *Thread) bool {
 		// the thread active, exactly like the body it replaces.
 		prev := k.active
 		k.active = t
+	plan:
 		for {
-			d, ok := fn()
-			if !ok {
-				break
-			}
-			if d > 0 {
+			op, d := fn()
+			switch {
+			case op == OpDone:
+				break plan
+			case d <= 0 && (op == OpCompute || op == OpSleep):
+				continue
+			case op == OpCompute:
 				k.active = prev
 				t.remaining = d
 				k.Stats.BurstElisions++
-				return true
+				return armSlice
 			}
+			k.active = prev
+			if c.perform(t, op, d) {
+				return armLeft
+			}
+			k.active = t
 		}
 		k.active = prev
 		t.planFn = nil
 	}
-	return false
+	return armDone
 }
 
 // siblingCheckpoint accounts the SMT sibling's current thread at the speed
@@ -528,14 +553,12 @@ func (k *Kernel) advance(t *Thread) {
 		k.Stats.BodyResumes++
 		req, ok := t.coro.Next()
 		k.active = prev
-		now := k.Sim.Now()
 		if !ok {
 			c.deschedule(t, StateDone)
 			c.pickNext()
 			return
 		}
-		switch req.kind {
-		case reqCompute:
+		if req.kind == OpCompute {
 			t.remaining = req.d
 			if req.n > 1 {
 				t.planSlice, t.planLeft = req.d, req.n-1
@@ -545,46 +568,59 @@ func (k *Kernel) advance(t *Thread) {
 			t.planFn = req.fn
 			c.reprogram()
 			return
-		case reqSleep:
-			c.deschedule(t, StateBlocked)
-			t.parked = false
-			t.sleepEv = k.Sim.After(req.d, t.sleepFn)
-			c.pickNext()
-			return
-		case reqPark:
-			if t.permit {
-				// A permit arrived between the check in Env.Park and now
-				// (possible when Unpark targets the running thread).
-				t.permit = false
-				continue
-			}
-			t.parked = true
-			c.deschedule(t, StateBlocked)
-			c.pickNext()
-			return
-		case reqYield:
-			if len(c.rq) == 0 {
-				continue // nothing else to run; keep going
-			}
-			c.deschedule(t, StateRunnable)
-			// sched_yield: fall behind every currently queued thread.
-			for _, q := range c.rq {
-				if q.vruntime > t.vruntime {
-					t.vruntime = q.vruntime
-				}
-			}
-			t.vruntime++
-			c.push(t)
-			c.pickNext()
-			return
-		case reqMigrate:
-			c.deschedule(t, StateRunnable)
-			t.enqTarget, t.enqWake = k.allowedTarget(t), false
-			k.Sim.At(now, t.enqFn)
-			c.pickNext()
+		}
+		if c.perform(t, req.kind, req.d) {
 			return
 		}
 	}
+}
+
+// perform carries out a sleep, park, yield or migrate request for t, the
+// current thread on c, for the body (advance) and for a compute plan
+// (planArm) alike. It returns false when t stays current and must continue
+// at this instant: a park that consumes a stored permit, or a yield with
+// nothing else to run. Any accounting residue of the finished slice is
+// discarded first, so a redispatch charges exactly the context-switch cost.
+func (c *core) perform(t *Thread, op Op, d simkit.Time) bool {
+	k := c.k
+	t.remaining = 0
+	switch op {
+	case OpSleep:
+		c.deschedule(t, StateBlocked)
+		t.parked = false
+		t.sleepEv = k.Sim.After(d, t.sleepFn)
+	case OpPark:
+		if t.permit {
+			// A stored permit: the park returns at once. (A body's
+			// Env.Park checks first; one can still arrive in between
+			// when Unpark targets the running thread.)
+			t.permit = false
+			return false
+		}
+		t.parked = true
+		c.deschedule(t, StateBlocked)
+	case OpYield:
+		if len(c.rq) == 0 {
+			return false // nothing else to run; keep going
+		}
+		c.deschedule(t, StateRunnable)
+		// sched_yield: fall behind every currently queued thread.
+		for _, q := range c.rq {
+			if q.vruntime > t.vruntime {
+				t.vruntime = q.vruntime
+			}
+		}
+		t.vruntime++
+		c.push(t)
+	case opMigrate:
+		c.deschedule(t, StateRunnable)
+		t.enqTarget, t.enqWake = k.allowedTarget(t), false
+		k.Sim.At(k.Sim.Now(), t.enqFn)
+	default:
+		panic("cfs: perform of a non-blocking request")
+	}
+	c.pickNext()
+	return true
 }
 
 // allowedTarget picks the least-loaded core permitted by t's affinity mask.

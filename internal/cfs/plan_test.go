@@ -244,14 +244,14 @@ func TestComputePlanCallbackMatchesLoop(t *testing.T) {
 			})
 			plan := planScenario(t, tc.competitor, func(e *Env) {
 				i := 0
-				e.ComputePlan(func() (simkit.Time, bool) {
+				e.ComputePlan(func() (Op, simkit.Time) {
 					if i >= n {
-						return 0, false
+						return OpDone, 0
 					}
 					planSum += int64(i)
 					d := slices(i)
 					i++
-					return d, true
+					return OpCompute, d
 				})
 			})
 
@@ -287,6 +287,216 @@ func TestComputePlanCallbackMatchesLoop(t *testing.T) {
 			}
 			if loop.stats.BurstElisions != 0 {
 				t.Errorf("loop run recorded %d BurstElisions, want 0", loop.stats.BurstElisions)
+			}
+		})
+	}
+}
+
+// reqStep is one operation of a plan-request test script.
+type reqStep struct {
+	op Op
+	d  simkit.Time
+}
+
+// reqResult holds the observables a plan request must leave exactly as the
+// equivalent body call does.
+type reqResult struct {
+	events []evtrace.Event
+	fired  uint64
+	cpu    []simkit.Time
+	vrun   []simkit.Time
+	stats  KernelStats
+}
+
+// runRequestScript runs script on a worker pinned to CPU 0, performing each
+// step either in the body (Env.Do) or as the steps of one compute plan,
+// next to the helper threads setup spawns. Every thread is pinned, so only
+// the worker's way of issuing its steps differs between the two runs.
+func runRequestScript(t *testing.T, topo ostopo.Topology, script []reqStep,
+	setup func(k *Kernel, worker *Thread) []*Thread, viaPlan bool) reqResult {
+	t.Helper()
+	sim := simkit.New(5)
+	t.Cleanup(sim.Close)
+	tr := evtrace.New(1 << 18)
+	sim.SetTracer(tr)
+	k := NewKernel(sim, &topo, DefaultParams())
+	k.SetEvTracer(tr)
+	worker := k.Spawn("worker", 0, func(e *Env) {
+		e.SetAffinity(0)
+		if !viaPlan {
+			for _, s := range script {
+				e.Do(s.op, s.d)
+			}
+			return
+		}
+		i := 0
+		e.ComputePlan(func() (Op, simkit.Time) {
+			if i == len(script) {
+				return OpDone, 0
+			}
+			s := script[i]
+			i++
+			return s.op, s.d
+		})
+	})
+	threads := append([]*Thread{worker}, setup(k, worker)...)
+	drain(t, sim, k, 10*simkit.Second, threads...)
+	k.Shutdown()
+	if n := sim.Clamped(); n != 0 {
+		t.Fatalf("simulation clamped %d past-scheduled events, want 0", n)
+	}
+	res := reqResult{
+		events: append([]evtrace.Event(nil), tr.Events()...),
+		fired:  sim.Fired(),
+		stats:  k.Stats,
+	}
+	for _, th := range threads {
+		res.cpu = append(res.cpu, th.CPUTime)
+		res.vrun = append(res.vrun, th.vruntime)
+	}
+	return res
+}
+
+// pinned spawns a helper thread bound to core c.
+func pinned(k *Kernel, name string, c ostopo.CoreID, body func(e *Env)) *Thread {
+	return k.Spawn(name, c, func(e *Env) {
+		e.SetAffinity(c)
+		body(e)
+	})
+}
+
+// TestPlanRequestsMatchBody is the plan-request contract: a yield, sleep or
+// park a compute plan returns must leave the fired-event stream, every thread's vruntime and CPU time, and
+// the kernel counters (apart from the elision counters) exactly as the
+// body's YieldCPU, Sleep or Park at the same points.
+func TestPlanRequestsMatchBody(t *testing.T) {
+	oneCore := ostopo.Topology{PhysCores: 1, SMTWays: 1, Nodes: 1}
+	twoCores := ostopo.Topology{PhysCores: 2, SMTWays: 1, Nodes: 1}
+	smtPair := ostopo.Topology{PhysCores: 1, SMTWays: 2, Nodes: 1}
+	compute := func(d simkit.Time) reqStep { return reqStep{OpCompute, d} }
+	yield := reqStep{op: OpYield}
+	sleep := func(d simkit.Time) reqStep { return reqStep{OpSleep, d} }
+	park := reqStep{op: OpPark}
+	repeat := func(n int, steps ...reqStep) []reqStep {
+		var s []reqStep
+		for i := 0; i < n; i++ {
+			s = append(s, steps...)
+		}
+		return s
+	}
+	none := func(*Kernel, *Thread) []*Thread { return nil }
+	// rival keeps a core's runqueue busy in bursts.
+	rival := func(c ostopo.CoreID, burst, gap simkit.Time) func(*Kernel, *Thread) []*Thread {
+		return func(k *Kernel, _ *Thread) []*Thread {
+			return []*Thread{pinned(k, "rival", c, func(e *Env) {
+				for i := 0; i < 30; i++ {
+					e.Compute(burst)
+					e.Sleep(gap)
+				}
+			})}
+		}
+	}
+	// unparker unparks the worker from core 1 after each of the delays.
+	unparker := func(delays ...simkit.Time) func(*Kernel, *Thread) []*Thread {
+		return func(k *Kernel, w *Thread) []*Thread {
+			return []*Thread{pinned(k, "unparker", 1, func(e *Env) {
+				for _, d := range delays {
+					e.Sleep(d)
+					k.Unpark(w)
+				}
+			})}
+		}
+	}
+
+	for _, tc := range []struct {
+		name   string
+		topo   ostopo.Topology
+		script []reqStep
+		setup  func(k *Kernel, worker *Thread) []*Thread
+	}{
+		{"yield-empty-runqueue", oneCore,
+			repeat(10, compute(300*us), yield), none},
+		{"yield-busy-runqueue", oneCore,
+			repeat(40, compute(700*us), yield), rival(0, 2*ms, 500*us)},
+		{"sleep", oneCore,
+			repeat(20, compute(400*us), sleep(1500*us)), rival(0, 3*ms, 1*ms)},
+		// The unpark lands while the worker still computes: a stored permit.
+		{"park-with-stored-permit", twoCores,
+			[]reqStep{compute(5 * ms), park, compute(1 * ms), park, compute(1 * ms)},
+			unparker(1*ms, 4*ms)},
+		{"park-woken-by-unpark", twoCores,
+			repeat(6, compute(500*us), park), unparker(2*ms, 3*ms, 1*ms, 5*ms, 2*ms, 2*ms)},
+		// Every step is a request on ComputePlan's first, body-side
+		// consultation until the first positive slice.
+		{"request-on-first-consultation", twoCores,
+			[]reqStep{park, yield, sleep(1 * ms), compute(1 * ms), park, compute(1 * ms)},
+			unparker(500*us, 3*ms)},
+		// The worker's slices straddle its SMT sibling's busy/idle flips,
+		// and each request switches the CPU to the rival sharing it, so
+		// every redispatch charges the context-switch cost.
+		{"smt-slowed-slices-then-context-switch", smtPair,
+			repeat(25, compute(333*us+7), yield, compute(211*us+3), sleep(97*us)),
+			func(k *Kernel, w *Thread) []*Thread {
+				return append(rival(0, 1*ms+1, 300*us)(k, w),
+					pinned(k, "sibling", 1, func(e *Env) {
+						for i := 0; i < 80; i++ {
+							e.Compute(123*us + 1)
+							e.Sleep(77*us + 1)
+						}
+					}))
+			}},
+		// A new-idle pull from CPU 0 reprograms the worker's timer from its
+		// last accounting, so the slice ends past its work with a negative
+		// remaining; the request must discard it, or the redispatch after
+		// the sharer ran would skip the context-switch cost.
+		{"residue-then-context-switch", twoCores,
+			repeat(6, compute(6*ms), sleep(1*ms), compute(2*ms), yield),
+			func(k *Kernel, w *Thread) []*Thread {
+				migrant := k.Spawn("migrant", 0, func(e *Env) {
+					for i := 0; i < 12; i++ {
+						e.Compute(1 * ms)
+						e.Sleep(3 * ms)
+					}
+				})
+				return append(rival(0, 300*us, 2*ms)(k, w), migrant,
+					pinned(k, "idler", 1, func(e *Env) {
+						for i := 0; i < 12; i++ {
+							e.Compute(1 * ms)
+							e.Sleep(4 * ms)
+						}
+					}))
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := runRequestScript(t, tc.topo, tc.script, tc.setup, false)
+			plan := runRequestScript(t, tc.topo, tc.script, tc.setup, true)
+			if !reflect.DeepEqual(body.events, plan.events) {
+				i := 0
+				for i < len(body.events) && i < len(plan.events) &&
+					body.events[i] == plan.events[i] {
+					i++
+				}
+				t.Fatalf("event streams diverged at index %d of %d/%d:\nbody: %+v\nplan: %+v",
+					i, len(body.events), len(plan.events),
+					at(body.events, i), at(plan.events, i))
+			}
+			if body.fired != plan.fired {
+				t.Errorf("fired-event count diverged: body %d, plan %d", body.fired, plan.fired)
+			}
+			if !reflect.DeepEqual(body.cpu, plan.cpu) || !reflect.DeepEqual(body.vrun, plan.vrun) {
+				t.Errorf("accounting diverged: body cpu=%v vrun=%v, plan cpu=%v vrun=%v",
+					body.cpu, body.vrun, plan.cpu, plan.vrun)
+			}
+			if plan.stats.BodyResumes >= body.stats.BodyResumes {
+				t.Errorf("plan requests elided no body resumes: body=%d plan=%d",
+					body.stats.BodyResumes, plan.stats.BodyResumes)
+			}
+			body.stats.BodyResumes, plan.stats.BodyResumes = 0, 0
+			body.stats.PlanElisions, plan.stats.PlanElisions = 0, 0
+			body.stats.BurstElisions, plan.stats.BurstElisions = 0, 0
+			if body.stats != plan.stats {
+				t.Errorf("kernel stats diverged beyond elision counters:\nbody: %+v\nplan: %+v",
+					body.stats, plan.stats)
 			}
 		})
 	}

@@ -37,7 +37,7 @@ func (s State) String() string {
 
 // request is what a thread body yields to the kernel. It is a small value
 // (not an interface) so that yielding never allocates: the old interface
-// encoding boxed every reqCompute on the heap, one allocation per
+// encoding boxed every compute request on the heap, one allocation per
 // scheduling point.
 //
 // A compute request may carry a plan: n > 1 asks for n back-to-back slices
@@ -50,17 +50,22 @@ type request struct {
 	d    simkit.Time // compute or sleep duration
 	n    int32       // compute slice count: 0/1 single, >1 plan, <0 endless
 	fn   PlanFn      // callback plan: produces follow-on slices driver-side
-	kind reqKind
+	kind Op
 }
 
-type reqKind uint8
+// Op is one scheduling operation: what a body requests through Compute,
+// YieldCPU, Sleep and Park, what a compute plan returns for its next step
+// (PlanFn), and what a blocking protocol written as steps returns for its
+// next wait, so one transcription runs in a body (Env.Do) and in a plan.
+type Op uint8
 
 const (
-	reqCompute reqKind = iota
-	reqSleep
-	reqPark
-	reqYield
-	reqMigrate
+	OpDone    Op = iota // the plan or protocol has finished; nothing to perform
+	OpCompute           // consume d of CPU work
+	OpSleep             // sleep for d
+	OpPark              // park until Kernel.Unpark
+	OpYield             // sched_yield
+	opMigrate           // leave a core SetAffinity no longer allows (body only)
 )
 
 // Thread is a simulated OS thread.
@@ -151,7 +156,7 @@ func (e *Env) Compute(d simkit.Time) {
 	if d <= 0 {
 		return
 	}
-	e.yield(request{d: d, kind: reqCompute})
+	e.yield(request{d: d, kind: OpCompute})
 }
 
 // ComputeN consumes n back-to-back slices of d nanoseconds of CPU work
@@ -166,7 +171,7 @@ func (e *Env) ComputeN(d simkit.Time, n int) {
 	if d <= 0 || n <= 0 {
 		return
 	}
-	e.yield(request{d: d, n: int32(n), kind: reqCompute})
+	e.yield(request{d: d, n: int32(n), kind: OpCompute})
 }
 
 // ComputeForever consumes d-nanosecond slices of CPU work until the end of
@@ -178,40 +183,69 @@ func (e *Env) ComputeForever(d simkit.Time) {
 	if d <= 0 {
 		panic("cfs: ComputeForever needs a positive slice")
 	}
-	e.yield(request{d: d, n: -1, kind: reqCompute})
+	e.yield(request{d: d, n: -1, kind: OpCompute})
 	panic("cfs: ComputeForever resumed") // unreachable: only Stop unwinds it
 }
 
-// PlanFn produces the slices of a callback compute plan. Each call returns
-// the next slice's duration and true, or false when the plan is finished.
-// The kernel calls it from the driver side (inside the completion timer of
-// the previous slice), so it runs at exactly the virtual time the body
-// would have resumed at — it may therefore read and write simulation state
-// (draw from the Sim RNG, take fast-path locks, allocate) exactly as the
-// body would, but it must not block: anything that needs Park/Sleep/a
-// contended lock ends the plan with false and lets the body take over.
-// Slices must be positive; a non-positive duration is skipped and the plan
-// is consulted again, mirroring how Compute treats d <= 0 as a no-op.
-type PlanFn func() (simkit.Time, bool)
+// PlanFn produces the steps of a callback compute plan. Each call returns
+// the plan's next operation: (OpCompute, d) for a slice of d, OpYield,
+// (OpSleep, d) or OpPark to block, or OpDone when the plan is finished. The
+// kernel calls it from the driver side (inside the completion timer of the
+// previous slice), so it runs at exactly the virtual time the body would
+// have resumed at — it may therefore read and write simulation state (draw
+// from the Sim RNG, take fast-path locks, allocate) exactly as the body
+// would. A non-positive compute or sleep is skipped and the plan is
+// consulted again, mirroring how Compute and Sleep treat d <= 0 as a no-op.
+//
+// The kernel performs a yield, sleep or park exactly as it performs the
+// body's YieldCPU, Sleep or Park, and keeps the plan attached: the plan is
+// consulted again at the instant the body call would have returned — at
+// once when a park consumes a stored permit or a yield finds nothing else
+// to run, otherwise when the thread is next dispatched. Anything else that
+// must run in the body (SetAffinity, returning from it) ends the plan with
+// OpDone.
+type PlanFn func() (Op, simkit.Time)
 
-// ComputePlan runs a callback compute plan: fn is consulted for each slice
-// in turn, and the kernel services the follow-on slices driver-side — the
+// ComputePlan runs a callback compute plan: fn is consulted for each step
+// in turn, and the kernel services the follow-on steps driver-side — the
 // same timer events, vruntime accounting and preemption as the equivalent
-// chain of Compute calls, without resuming the body between slices. It
-// returns once fn reports the plan done. Use it when the work *between*
-// slices is simple enough to run from the driver (bump a counter, check a
-// flag, try an allocation); see ComputeN for the fixed-shape variant.
+// chain of Compute, YieldCPU, Sleep and Park calls, without resuming the
+// body between them. It returns once fn reports the plan done. Use it when
+// the work *between* slices is simple enough to run from the driver (bump a
+// counter, check a flag, try an allocation); see ComputeN for the
+// fixed-shape variant. A yield, sleep or park fn asks for on this first,
+// body-side consultation is performed in the body.
 func (e *Env) ComputePlan(fn PlanFn) {
 	for {
-		d, ok := fn()
-		if !ok {
+		op, d := fn()
+		switch {
+		case op == OpDone:
 			return
-		}
-		if d > 0 {
-			e.yield(request{d: d, fn: fn, kind: reqCompute})
+		case op == OpCompute && d > 0:
+			e.yield(request{d: d, fn: fn, kind: OpCompute})
 			return
+		case op != OpCompute:
+			e.Do(op, d)
 		}
 	}
+}
+
+// Do performs op in the thread's body and reports whether there was one to
+// perform, so `for e.Do(p.step()) {}` runs a step protocol to completion.
+func (e *Env) Do(op Op, d simkit.Time) bool {
+	switch op {
+	case OpCompute:
+		e.Compute(d)
+	case OpYield:
+		e.YieldCPU()
+	case OpSleep:
+		e.Sleep(d)
+	case OpPark:
+		e.Park()
+	default:
+		return false
+	}
+	return true
 }
 
 // Sleep blocks the thread for d nanoseconds of virtual time.
@@ -219,7 +253,7 @@ func (e *Env) Sleep(d simkit.Time) {
 	if d <= 0 {
 		return
 	}
-	e.yield(request{d: d, kind: reqSleep})
+	e.yield(request{d: d, kind: OpSleep})
 }
 
 // Park blocks the thread until another thread calls Kernel.Unpark on it.
@@ -231,12 +265,12 @@ func (e *Env) Park() {
 		e.T.permit = false
 		return
 	}
-	e.yield(request{kind: reqPark})
+	e.yield(request{kind: OpPark})
 }
 
 // YieldCPU gives up the CPU (sched_yield). If other threads are runnable on
 // this core, one of them is dispatched.
-func (e *Env) YieldCPU() { e.yield(request{kind: reqYield}) }
+func (e *Env) YieldCPU() { e.yield(request{kind: OpYield}) }
 
 // SetAffinity binds the thread to the given cores (empty clears the mask,
 // allowing all cores). If the thread is currently on a disallowed core it
@@ -260,6 +294,6 @@ func (e *Env) SetAffinity(cores ...ostopo.CoreID) {
 	}
 	t.affinity = mask
 	if !t.allowed(t.core) {
-		e.yield(request{kind: reqMigrate})
+		e.yield(request{kind: opMigrate})
 	}
 }

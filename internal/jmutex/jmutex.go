@@ -241,65 +241,173 @@ func (m *Monitor) TryLockFast(t *cfs.Thread) bool {
 }
 
 // LockContended finishes an acquisition whose fast path failed, queuing
-// and parking per the policy. Must run in the thread's body (it blocks).
+// and parking per the policy. Must run in the thread's body (it blocks); a
+// compute plan steps the same protocol through Contended instead.
 func (m *Monitor) LockContended(e *cfs.Env) {
-	defer m.seek(-1)
-	if m.policy == PolicyFairFIFO {
-		m.fifoSlow(e)
-		return
+	c := m.Contended(e.T)
+	for e.Do(c.Step()) {
 	}
-	m.competitiveSlow(e)
 }
 
-// competitiveSlow queues the thread and retries the CAS whenever it is
-// woken (competitive handoff: being OnDeck grants no ownership).
-func (m *Monitor) competitiveSlow(e *cfs.Env) {
-	t := e.T
+// Contention is one thread's blocking acquisition of a monitor — the
+// contended entry after a failed TryLockFast (Contended), or the WaitSet
+// wait and re-acquisition after WaitBegin (Waiting) — written as steps.
+// Each Step performs the protocol's bookkeeping up to its next scheduling
+// operation and returns it, until the thread owns the monitor and Step
+// returns cfs.OpDone. The body performs the operations with cfs.Env.Do
+// (LockContended, WaitFinish); a compute plan returns them as its own
+// steps, so one transcription serves both and the two are observably
+// identical.
+type Contention struct {
+	m  *Monitor
+	t  *cfs.Thread
+	pc contPC
+}
+
+// contPC is where a Contention resumes.
+type contPC uint8
+
+const (
+	contLock       contPC = iota // competitive entry: try to win the released lock
+	contLockParked               // woken: back to seeking, retry the CAS
+	contFIFO                     // FIFO entry: queue behind the waiters
+	contFIFOWait                 // FIFO entry: sleep until handed the lock
+	contWait                     // Wait: release the monitor
+	contWaitFIFO                 // FIFO Wait: sleep until handed the lock
+	contWaitPark                 // Wait: sleep on the WaitSet / lock queue
+	contWaitWoken                // Wait: woken; retry the CAS unless still waiting
+	contWaitCAS                  // Wait: CAS done; take the lock or queue again
+)
+
+// Contended starts t's contended entry after TryLockFast failed (t is
+// still a seeker from LockBegin).
+func (m *Monitor) Contended(t *cfs.Thread) Contention {
+	pc := contLock
+	if m.policy == PolicyFairFIFO {
+		pc = contFIFO
+	}
+	return Contention{m: m, t: t, pc: pc}
+}
+
+// Waiting starts t's Wait after WaitBegin's release cost: the release
+// itself, then the park/re-acquire loop.
+func (m *Monitor) Waiting(t *cfs.Thread) Contention {
+	return Contention{m: m, t: t, pc: contWait}
+}
+
+// Step advances the acquisition to its next scheduling operation.
+func (c *Contention) Step() (cfs.Op, simkit.Time) {
+	m, t := c.m, c.t
 	for {
-		if m.owner == nil {
-			// Won the race. Clear our queue presence.
-			if m.onDeck == t {
-				m.onDeck = nil
-				m.Stats.Handoffs++
+		switch c.pc {
+		case contLock:
+			// Competitive handoff: being OnDeck grants no ownership; the
+			// thread retries the CAS whenever it is woken.
+			if m.owner == nil {
+				// Won the race. Clear our queue presence.
+				if m.onDeck == t {
+					m.onDeck = nil
+					m.Stats.Handoffs++
+				}
+				m.removeQueued(t)
+				if m.etr != nil {
+					m.emit(evtrace.KLockHandoff, t, int64(m.QueuedWaiters()), 0)
+				}
+				m.logAcq(t, false)
+				m.owner = t
+				m.Stats.SlowAcquires++
+				m.seek(-1)
+				return cfs.OpDone, 0
 			}
-			m.removeQueued(t)
+			if m.onDeck != t && !m.isQueued(t) {
+				m.cxq = pushHead(m.cxq, t)
+			}
+			m.Stats.ParkEvents++
+			if m.etr != nil {
+				m.emit(evtrace.KLockBlock, t, int64(m.QueuedWaiters()), 0)
+			}
+			m.seek(-1)
+			c.pc = contLockParked
+			return cfs.OpPark, 0
+		case contLockParked:
+			m.seek(1)
+			c.pc = contLock
+			return cfs.OpCompute, m.casCost // retry CAS after wakeup
+		case contFIFO:
+			// Ownership is assigned by the unlocker.
+			m.cxq = pushHead(m.cxq, t)
+			c.pc = contFIFOWait
+		case contFIFOWait:
+			if m.owner != t {
+				m.Stats.ParkEvents++
+				if m.etr != nil {
+					m.emit(evtrace.KLockBlock, t, int64(m.QueuedWaiters()), 0)
+				}
+				return cfs.OpPark, 0
+			}
+			m.Stats.SlowAcquires++
+			m.Stats.Handoffs++
 			if m.etr != nil {
 				m.emit(evtrace.KLockHandoff, t, int64(m.QueuedWaiters()), 0)
 			}
-			m.logAcq(t, false)
-			m.owner = t
+			m.seek(-1)
+			return cfs.OpDone, 0
+		case contWait:
+			m.unlockFrom(t)
+			// Sleep until this thread is out of the WaitSet AND wins the lock.
+			c.pc = contWaitPark
+			if m.policy == PolicyFairFIFO {
+				c.pc = contWaitFIFO
+			}
+		case contWaitFIFO:
+			if m.owner != t {
+				m.Stats.ParkEvents++
+				if m.etr != nil {
+					m.emit(evtrace.KLockBlock, t, int64(m.QueuedWaiters()), 1)
+				}
+				return cfs.OpPark, 0
+			}
 			m.Stats.SlowAcquires++
-			return
+			if m.etr != nil {
+				m.emit(evtrace.KLockHandoff, t, int64(m.QueuedWaiters()), 1)
+			}
+			return cfs.OpDone, 0
+		case contWaitPark:
+			// HotSpot: a notify moves us to cxq without waking; we are
+			// unparked only when an unlocker selects us as OnDeck (or
+			// wake-all fires).
+			m.Stats.ParkEvents++
+			if m.etr != nil {
+				m.emit(evtrace.KLockBlock, t, int64(m.QueuedWaiters()), 1)
+			}
+			c.pc = contWaitWoken
+			return cfs.OpPark, 0
+		case contWaitWoken:
+			if m.inWaitSet(t) {
+				c.pc = contWaitPark // spurious permit while still waiting
+				continue
+			}
+			c.pc = contWaitCAS
+			return cfs.OpCompute, m.casCost
+		case contWaitCAS:
+			if m.owner == nil {
+				if m.onDeck == t {
+					m.onDeck = nil
+					m.Stats.Handoffs++
+				}
+				m.removeQueued(t)
+				m.owner = t
+				m.Stats.SlowAcquires++
+				if m.etr != nil {
+					m.emit(evtrace.KLockHandoff, t, int64(m.QueuedWaiters()), 1)
+				}
+				return cfs.OpDone, 0
+			}
+			if m.onDeck != t && !m.isQueued(t) {
+				m.cxq = pushHead(m.cxq, t)
+			}
+			c.pc = contWaitPark
 		}
-		if m.onDeck != t && !m.isQueued(t) {
-			m.cxq = pushHead(m.cxq, t)
-		}
-		m.Stats.ParkEvents++
-		if m.etr != nil {
-			m.emit(evtrace.KLockBlock, t, int64(m.QueuedWaiters()), 0)
-		}
-		m.seek(-1)
-		e.Park()
-		m.seek(1)
-		e.Compute(m.casCost) // retry CAS after wakeup
-	}
-}
-
-// fifoSlow queues the thread; ownership is assigned by the unlocker.
-func (m *Monitor) fifoSlow(e *cfs.Env) {
-	t := e.T
-	m.cxq = pushHead(m.cxq, t)
-	for m.owner != t {
-		m.Stats.ParkEvents++
-		if m.etr != nil {
-			m.emit(evtrace.KLockBlock, t, int64(m.QueuedWaiters()), 0)
-		}
-		e.Park()
-	}
-	m.Stats.SlowAcquires++
-	m.Stats.Handoffs++
-	if m.etr != nil {
-		m.emit(evtrace.KLockHandoff, t, int64(m.QueuedWaiters()), 0)
 	}
 }
 
@@ -335,23 +443,20 @@ func (m *Monitor) unlockFrom(t *cfs.Thread) {
 	case PolicyFairFIFO:
 		if next := m.popOldest(); next != nil {
 			m.owner = next // direct handoff
-			if m.etr != nil {
-				m.emit(evtrace.KLockUnblock, next, int64(t.ID), 0)
-			}
-			m.k.Unpark(next)
+			m.unblock(next, t)
 		}
 	case PolicyWakeAll:
-		// Wake everyone; they race for the CAS when scheduled.
-		wake := append([]*cfs.Thread{}, m.entryList...)
-		wake = append(wake, m.cxq...)
+		// Wake everyone — OnDeck, then EntryList, then cxq; they race for
+		// the CAS when scheduled. Unpark only schedules wake events and
+		// never touches the queues, so they are walked in place.
 		if m.onDeck != nil {
-			wake = append([]*cfs.Thread{m.onDeck}, wake...)
+			m.unblock(m.onDeck, t)
 		}
-		for _, w := range wake {
-			if m.etr != nil {
-				m.emit(evtrace.KLockUnblock, w, int64(t.ID), 0)
-			}
-			m.k.Unpark(w)
+		for _, w := range m.entryList {
+			m.unblock(w, t)
+		}
+		for _, w := range m.cxq {
+			m.unblock(w, t)
 		}
 	default: // PolicyHotSpot, PolicyNoFastPath
 		if m.onDeck == nil {
@@ -375,12 +480,17 @@ func (m *Monitor) unlockFrom(t *cfs.Thread) {
 		if m.onDeck != nil {
 			// Competitive handoff: wake the heir; it must win the CAS
 			// by itself.
-			if m.etr != nil {
-				m.emit(evtrace.KLockUnblock, m.onDeck, int64(t.ID), 0)
-			}
-			m.k.Unpark(m.onDeck)
+			m.unblock(m.onDeck, t)
 		}
 	}
+}
+
+// unblock wakes waiter w on behalf of unlocker t.
+func (m *Monitor) unblock(w, t *cfs.Thread) {
+	if m.etr != nil {
+		m.emit(evtrace.KLockUnblock, w, int64(t.ID), 0)
+	}
+	m.k.Unpark(w)
 }
 
 // Wait releases the monitor, sleeps on the WaitSet, and re-acquires after
@@ -407,53 +517,11 @@ func (m *Monitor) WaitBegin(t *cfs.Thread) simkit.Time {
 }
 
 // WaitFinish releases the monitor and blocks until the thread is selected
-// out of the WaitSet and wins the lock. Must run in the thread's body.
+// out of the WaitSet and wins the lock. Must run in the thread's body; a
+// compute plan steps the same protocol through Waiting instead.
 func (m *Monitor) WaitFinish(e *cfs.Env) {
-	t := e.T
-	m.unlockFrom(t)
-	// Sleep until this thread is out of the WaitSet AND wins the lock.
-	if m.policy == PolicyFairFIFO {
-		for m.owner != t {
-			m.Stats.ParkEvents++
-			if m.etr != nil {
-				m.emit(evtrace.KLockBlock, t, int64(m.QueuedWaiters()), 1)
-			}
-			e.Park()
-		}
-		m.Stats.SlowAcquires++
-		if m.etr != nil {
-			m.emit(evtrace.KLockHandoff, t, int64(m.QueuedWaiters()), 1)
-		}
-		return
-	}
-	// HotSpot: a notify moves us to cxq without waking; we are unparked
-	// only when an unlocker selects us as OnDeck (or wake-all fires).
-	for {
-		m.Stats.ParkEvents++
-		if m.etr != nil {
-			m.emit(evtrace.KLockBlock, t, int64(m.QueuedWaiters()), 1)
-		}
-		e.Park()
-		if m.inWaitSet(t) {
-			continue // spurious permit while still waiting
-		}
-		e.Compute(m.casCost)
-		if m.owner == nil {
-			if m.onDeck == t {
-				m.onDeck = nil
-				m.Stats.Handoffs++
-			}
-			m.removeQueued(t)
-			m.owner = t
-			m.Stats.SlowAcquires++
-			if m.etr != nil {
-				m.emit(evtrace.KLockHandoff, t, int64(m.QueuedWaiters()), 1)
-			}
-			return
-		}
-		if m.onDeck != t && !m.isQueued(t) {
-			m.cxq = pushHead(m.cxq, t)
-		}
+	c := m.Waiting(e.T)
+	for e.Do(c.Step()) {
 	}
 }
 

@@ -199,8 +199,10 @@ type mutatorState struct {
 	// Burst-plan state. The mutator's steady-state item loop (compute,
 	// lock/serial/unlock, allocation burst) is expressed as a compute plan
 	// (planStep) the kernel services driver-side, so back-to-back slices
-	// cost no coroutine switches. Anything that can block — safepoints,
-	// contended locks, GC requests, phase transitions — is handed back to
+	// cost no coroutine switches. Its blocking steps — a contended
+	// application lock, a safepoint wait, a GC request — are stepped as
+	// plan requests too (cont, safepointStep); only a phase transition, an
+	// item's end in server mode, and the end of the run are handed back to
 	// the body through action.
 	j          *JVM
 	plan       cfs.PlanFn
@@ -214,6 +216,8 @@ type mutatorState struct {
 	serial     simkit.Time
 	rest       simkit.Time
 	action     planAction
+	cont       jmutex.Contention // contended appLock entry in progress
+	resume     planPC            // where pcSafepoint continues after the pause
 }
 
 // planPC is the mutator plan's resume point.
@@ -225,6 +229,7 @@ const (
 	pcPhaseCheck
 	pcItemCompute
 	pcLockTry
+	pcLockContend
 	pcLockAcquired
 	pcUnlockBegin
 	pcUnlockFinish
@@ -232,6 +237,7 @@ const (
 	pcClusters
 	pcClusterAttempt
 	pcItemEnd
+	pcSafepoint // waiting out a pause, then on to resume
 )
 
 // planAction is what the body must do when the plan hands control back.
@@ -240,20 +246,18 @@ type planAction uint8
 const (
 	actionNone planAction = iota
 	actionFinished
-	actionSafepoint
 	actionPhase
-	actionLockContended
-	actionGC
 	actionItemDone
 )
 
-// planStep is the mutator's compute plan (cfs.PlanFn). Each call either
-// returns the next CPU slice or stops the plan with an action for the body.
+// planStep is the mutator's compute plan (cfs.PlanFn). Each call returns
+// the next CPU slice or blocking step, or stops the plan (cfs.OpDone) with
+// an action for the body.
 // The control flow is the state-machine transcription of the old
 // batchMutatorBody/runItem loops: every heap access, RNG draw and monitor
 // operation happens at the same virtual instant and in the same order as
 // the body-resident original, so simulation results are byte-identical.
-func (ms *mutatorState) planStep() (simkit.Time, bool) {
+func (ms *mutatorState) planStep() (cfs.Op, simkit.Time) {
 	j := ms.j
 	p := &j.Cfg.Profile
 	for {
@@ -262,18 +266,17 @@ func (ms *mutatorState) planStep() (simkit.Time, bool) {
 			if ms.n >= ms.items || j.oomErr != nil {
 				ms.pc = pcIdle
 				ms.action = actionFinished
-				return 0, false
+				return cfs.OpDone, 0
 			}
 			ms.pc = pcPhaseCheck
 			if j.safepoint {
-				ms.action = actionSafepoint
-				return 0, false
+				ms.resume, ms.pc = pcPhaseCheck, pcSafepoint
 			}
 		case pcPhaseCheck:
 			ms.pc = pcItemCompute
 			if ms.phaseEvery > 0 && ms.n%ms.phaseEvery == 0 {
 				ms.action = actionPhase
-				return 0, false
+				return cfs.OpDone, 0
 			}
 		case pcItemCompute:
 			// ±25% jitter decorrelates mutators.
@@ -286,28 +289,32 @@ func (ms *mutatorState) planStep() (simkit.Time, bool) {
 				ms.serial = simkit.Time(float64(compute) * p.SerialFrac)
 				ms.rest = compute - ms.serial
 				ms.pc = pcLockTry
-				return j.appMon.LockBegin(ms.th), true
+				return cfs.OpCompute, j.appMon.LockBegin(ms.th)
 			}
 			ms.pc = pcAllocStart
-			return compute, true
+			return cfs.OpCompute, compute
 		case pcLockTry:
 			if j.appMon.TryLockFast(ms.th) {
 				ms.pc = pcUnlockBegin
-				return ms.serial, true
+				return cfs.OpCompute, ms.serial
+			}
+			ms.cont = j.appMon.Contended(ms.th)
+			ms.pc = pcLockContend
+		case pcLockContend:
+			if op, d := ms.cont.Step(); op != cfs.OpDone {
+				return op, d
 			}
 			ms.pc = pcLockAcquired
-			ms.action = actionLockContended
-			return 0, false
 		case pcLockAcquired:
 			ms.pc = pcUnlockBegin
-			return ms.serial, true
+			return cfs.OpCompute, ms.serial
 		case pcUnlockBegin:
 			ms.pc = pcUnlockFinish
-			return j.appMon.UnlockBegin(ms.th), true
+			return cfs.OpCompute, j.appMon.UnlockBegin(ms.th)
 		case pcUnlockFinish:
 			j.appMon.UnlockFinish(ms.th)
 			ms.pc = pcAllocStart
-			return ms.rest, true
+			return cfs.OpCompute, ms.rest
 		case pcAllocStart:
 			// First-touch NUMA policy: new objects are homed on this
 			// thread's node.
@@ -322,21 +329,27 @@ func (ms *mutatorState) planStep() (simkit.Time, bool) {
 			ms.pc = pcItemEnd
 		case pcClusterAttempt:
 			if j.safepoint {
-				ms.action = actionSafepoint
-				return 0, false
+				ms.resume, ms.pc = pcClusterAttempt, pcSafepoint
+				continue
 			}
 			if _, ok := ms.graph.AllocCluster(); ok {
 				ms.cluster++
 				ms.pc = pcClusters
 				continue
 			}
-			ms.action = actionGC
-			return 0, false
+			// Allocation failure: request a minor GC, wait it out, retry.
+			j.raiseGC(causeMinor)
+			ms.resume, ms.pc = pcClusterAttempt, pcSafepoint
+		case pcSafepoint:
+			if op, d := j.safepointStep(ms); op != cfs.OpDone {
+				return op, d
+			}
+			ms.pc = ms.resume
 		case pcItemEnd:
 			if !ms.batch {
 				ms.pc = pcIdle
 				ms.action = actionItemDone
-				return 0, false
+				return cfs.OpDone, 0
 			}
 			ms.n++
 			j.itemsDone++
@@ -413,7 +426,7 @@ func (m *Machine) AddJVM(cfg Config) (*JVM, error) {
 		RecordLockLog:  cfg.RecordLockLog,
 		LoopWorkers:    cfg.LoopGCWorkers,
 		OnWorkerStart:  j.Bal.WorkerStart,
-		OnGCWake:       j.Bal.GCWake,
+		OnGCWake:       j.Bal.GCWakeHook(),
 		Metrics:        m.Metrics,
 	}
 	if cfg.NUMARemoteFactor > 1 {
@@ -526,20 +539,40 @@ func (j *JVM) stoppedOrIdle() int {
 // or in progress.
 func (j *JVM) checkSafepoint(e *cfs.Env, i int) {
 	ms := j.muts[i]
-	for j.safepoint {
+	for e.Do(j.safepointStep(ms)) {
+	}
+}
+
+// safepointStep is checkSafepoint written as steps (cfs.Op), so the
+// mutator plan can wait out a pause as plan requests: it returns a park
+// while a pause is pending or in progress, and cfs.OpDone once none is.
+// ms.atSafepoint is its state.
+func (j *JVM) safepointStep(ms *mutatorState) (cfs.Op, simkit.Time) {
+	if !ms.atSafepoint {
+		if !j.safepoint {
+			return cfs.OpDone, 0
+		}
 		ms.atSafepoint = true
 		if j.stoppedOrIdle() >= j.activeMutators {
 			j.M.K.Unpark(j.vm)
 		}
-		for j.safepoint {
-			e.Park()
-		}
-		ms.atSafepoint = false
 	}
+	if j.safepoint {
+		return cfs.OpPark, 0
+	}
+	ms.atSafepoint = false
+	return cfs.OpDone, 0
 }
 
 // requestGC initiates a collection (allocation failure) and waits for it.
 func (j *JVM) requestGC(e *cfs.Env, i int, cause int) {
+	j.raiseGC(cause)
+	j.checkSafepoint(e, i)
+}
+
+// raiseGC starts a stop-the-world pause for cause, or escalates the cause
+// of the pending one.
+func (j *JVM) raiseGC(cause int) {
 	if !j.safepoint {
 		j.safepoint = true
 		j.gcCause = cause
@@ -547,7 +580,6 @@ func (j *JVM) requestGC(e *cfs.Env, i int, cause int) {
 	} else if cause > j.gcCause {
 		j.gcCause = cause
 	}
-	j.checkSafepoint(e, i)
 }
 
 func (j *JVM) mutatorFinished(e *cfs.Env, i int) {
@@ -646,27 +678,18 @@ func (j *JVM) batchMutatorBody(i int) func(*cfs.Env) {
 		ms.pc = pcItemStart
 		for {
 			e.ComputePlan(ms.plan)
-			switch ms.action {
-			case actionFinished:
+			if ms.action == actionFinished {
 				j.mutatorFinished(e, i)
 				return
-			case actionSafepoint:
-				j.checkSafepoint(e, i)
-			case actionPhase:
-				j.phaseTransition(e, i)
-			case actionLockContended:
-				j.appMon.LockContended(e)
-			case actionGC:
-				j.requestGC(e, i, causeMinor)
 			}
+			j.phaseTransition(e, i) // actionPhase
 		}
 	}
 }
 
 // runItem performs one work item: compute (partially under the application
 // lock for non-scalable workloads) plus allocation. It drives the mutator's
-// compute plan in single-item mode; only the blocking pieces run here in
-// the body.
+// compute plan in single-item mode, which returns at the item's end.
 func (j *JVM) runItem(e *cfs.Env, i int) {
 	ms := j.muts[i]
 	p := j.Cfg.Profile
@@ -676,19 +699,7 @@ func (j *JVM) runItem(e *cfs.Env, i int) {
 		ms.clusters = p.ServiceClusters
 	}
 	ms.pc = pcItemCompute
-	for {
-		e.ComputePlan(ms.plan)
-		switch ms.action {
-		case actionItemDone:
-			return
-		case actionSafepoint:
-			j.checkSafepoint(e, i)
-		case actionLockContended:
-			j.appMon.LockContended(e)
-		case actionGC:
-			j.requestGC(e, i, causeMinor)
-		}
-	}
+	e.ComputePlan(ms.plan)
 }
 
 // phaseTransition models a Spark stage boundary: drop part of the cached

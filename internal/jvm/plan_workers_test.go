@@ -60,3 +60,31 @@ func TestGCWorkersRunAsPlans(t *testing.T) {
 			plan.Steal.TotalAttempts(), loop.Steal.TotalAttempts())
 	}
 }
+
+// TestBlockingStepsStayOffTheBody bounds the body resumes of a reduced
+// vanilla xalan cell by its thread and collection counts: with the
+// termination offer, the monitor slow paths and the safepoint wait stepped
+// from the compute plans, a body resumes to start and finish and for the
+// VM thread's per-collection work — not per steal attempt, termination
+// spin or lock handoff. xalan's application lock (SerialFrac) keeps the
+// mutators contending throughout. (Under dynamic affinity each GC thread
+// also resumes once per collection for the GC-wake hook.)
+func TestBlockingStepsStayOffTheBody(t *testing.T) {
+	p := workload.Xalan()
+	p.TotalItems /= 8
+	r, err := Run(RunSpec{Config: Config{Profile: p, Mutators: 16, Seed: 3}, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gcs := r.MinorGCs + r.MajorGCs
+	if gcs == 0 || r.Monitor.ParkEvents == 0 {
+		t.Fatalf("reduced cell ran %d GCs with %d monitor parks; cannot exercise the blocking steps",
+			gcs, r.Monitor.ParkEvents)
+	}
+	threads := r.Mutators + r.GCThreads + 1 // + the VM thread
+	if limit := 4 * (threads + gcs); r.Kernel.BodyResumes > limit {
+		t.Errorf("BodyResumes = %d, want <= %d = 4·(threads %d + collections %d); "+
+			"steal attempts %d, monitor parks %d",
+			r.Kernel.BodyResumes, limit, threads, gcs, r.Steal.TotalAttempts(), r.Monitor.ParkEvents)
+	}
+}

@@ -63,49 +63,84 @@ func (t *terminator) peek() bool {
 // offer enters the termination protocol for worker w. It returns true when
 // the parallel phase is over, false when the worker should resume stealing
 // (work reappeared). Time spent inside is the Fig. 6 "termination" share.
+// It runs the offering steps in the body; plan-driven workers step the same
+// offering from their compute plan.
 func (t *terminator) offer(e *cfs.Env, w int) bool {
-	t.offered++
-	if t.g.etr != nil {
-		t.g.etr.Emit(evtrace.Event{Kind: evtrace.KTermOffer, At: int64(e.Now()),
-			Core: int32(e.Core()), TID: int32(w),
-			Arg1: int64(t.offered), Arg2: int64(t.total)})
+	var o offering
+	o.begin(t, w)
+	for e.Do(o.step(e.T)) {
 	}
-	if t.offered >= t.total {
-		// Last offerer: re-check the queues before declaring the phase
-		// over. Work pushed between this worker's final failed steal and
-		// its offer (by a worker that has since offered too) would
-		// otherwise be lost — declared collected without being processed.
-		if t.peek() {
-			t.offered--
-			return false
-		}
-		t.complete()
-		return true
+	return o.finished
+}
+
+// offering is one worker's termination offer written as steps (cfs.Op):
+// offer, then spin and yield, then sleep, peeking for stealable work before
+// each wait, until the phase completes or work reappears.
+type offering struct {
+	t        *terminator
+	w        int
+	spun     bool // the spin's compute is done; yield next
+	spins    int  // spin-and-yield rounds so far; -1 until the offer is made
+	finished bool // the outcome once step returns cfs.OpDone
+}
+
+func (o *offering) begin(t *terminator, w int) { *o = offering{t: t, w: w, spins: -1} }
+
+// step advances the offer to its next scheduling operation, or returns
+// cfs.OpDone with o.finished set.
+func (o *offering) step(th *cfs.Thread) (cfs.Op, simkit.Time) {
+	t := o.t
+	now := t.g.K.Sim.Now()
+	if o.spun {
+		o.spun = false
+		o.spins++
+		return cfs.OpYield, 0
 	}
-	spins := 0
-	for !t.done {
-		if t.peek() {
-			t.offered--
-			return false
-		}
+	if o.spins < 0 {
+		o.spins = 0
+		t.offered++
 		if t.g.etr != nil {
-			// Arg2 tells spinning (0) from sleeping (1) waits.
-			mode := int64(0)
-			if spins >= 4 {
-				mode = 1
+			t.g.etr.Emit(evtrace.Event{Kind: evtrace.KTermOffer, At: int64(now),
+				Core: int32(th.Core()), TID: int32(o.w),
+				Arg1: int64(t.offered), Arg2: int64(t.total)})
+		}
+		if t.offered >= t.total {
+			// Last offerer: re-check the queues before declaring the phase
+			// over. Work pushed between this worker's final failed steal
+			// and its offer (by a worker that has since offered too) would
+			// otherwise be lost — declared collected without being
+			// processed.
+			if t.peek() {
+				t.offered--
+				return cfs.OpDone, 0
 			}
-			t.g.etr.Emit(evtrace.Event{Kind: evtrace.KTermSpin, At: int64(e.Now()),
-				Core: int32(e.Core()), TID: int32(w), Arg1: int64(spins), Arg2: mode})
+			t.complete()
+			o.finished = true
+			return cfs.OpDone, 0
 		}
-		if spins < 4 {
-			e.Compute(t.g.Costs.TermSpin)
-			e.YieldCPU()
-			spins++
-			continue
-		}
-		e.Sleep(t.g.Costs.TermSleep)
 	}
-	return true
+	if t.done {
+		o.finished = true
+		return cfs.OpDone, 0
+	}
+	if t.peek() {
+		t.offered--
+		return cfs.OpDone, 0
+	}
+	if t.g.etr != nil {
+		// Arg2 tells spinning (0) from sleeping (1) waits.
+		mode := int64(0)
+		if o.spins >= 4 {
+			mode = 1
+		}
+		t.g.etr.Emit(evtrace.Event{Kind: evtrace.KTermSpin, At: int64(now),
+			Core: int32(th.Core()), TID: int32(o.w), Arg1: int64(o.spins), Arg2: mode})
+	}
+	if o.spins < 4 {
+		o.spun = true
+		return cfs.OpCompute, t.g.Costs.TermSpin
+	}
+	return cfs.OpSleep, t.g.Costs.TermSleep
 }
 
 // complete ends the parallel phase and wakes the VM thread. The KTermDone

@@ -4,28 +4,27 @@ import (
 	"repro/internal/cfs"
 	"repro/internal/evtrace"
 	"repro/internal/heap"
+	"repro/internal/jmutex"
 	"repro/internal/simkit"
 )
 
 // This file runs the GC worker bodies as driver-serviced compute plans
 // (cfs.Env.ComputePlan): the get_task fast path, per-object scavenge/mark
-// tracing, the steal attempt loop, and task bookkeeping all advance inside
-// the kernel's completion timer, so a worker's coroutine body is resumed
-// only at the transitions that can actually block or migrate it:
+// tracing, the steal attempt loop, task bookkeeping, and every blocking
+// step of the §2.3/§2.4 protocols all advance inside the kernel's
+// completion timer. The blocking steps — contended monitor entry, the
+// queue-empty wait on the WaitSet between GCs, and the termination offer's
+// spins, yields and sleeps — are stepped through jmutex.Contention and
+// offering, whose operations the plan performs as cfs plan requests (park,
+// yield, sleep). A worker's coroutine body is resumed only for:
 //
-//   - contended monitor entry (LockContended parks);
-//   - the queue-empty wait between GCs (WaitFinish parks on the WaitSet);
-//   - the termination protocol (offer yields the CPU and sleeps);
 //   - the dynamic-affinity GC-wake hook (it may SetAffinity and migrate);
 //   - shutdown (the body must return).
 //
-// Everything else — the CAS and unlock costs around get_task, the chunked
-// tracing charges that replaced the cfs.Batcher, the per-attempt steal cost
-// — is a plan slice. The state machine replays the legacy loop's operations
-// at exactly the instants the loop performed them between its Compute
-// yields, so the event stream, RNG draws, reports, and trace emissions are
-// byte-identical to Options.LoopWorkers (asserted by the loop-vs-plan
-// identity test).
+// The state machine replays the legacy loop's operations at exactly the
+// instants the loop performed them between its scheduling calls, so the
+// event stream, RNG draws, reports, and trace emissions are byte-identical
+// to Options.LoopWorkers (asserted by the loop-vs-plan identity test).
 
 // workerPC is the plan program counter: where the worker resumes when the
 // current slice completes.
@@ -35,6 +34,7 @@ const (
 	// get_task: lock, queue inspection, unlock.
 	wpcLock workerPC = iota
 	wpcTryLock
+	wpcContend // contended entry or WaitSet wait, stepping ws.cont
 	wpcLocked
 	wpcWaitPark
 	wpcShutdown
@@ -59,17 +59,14 @@ const (
 	wpcStealResult
 	wpcStealDrained
 	wpcStealFlushed
+	wpcOffer // termination offer, stepping ws.offer
 )
 
 // workerAction tells the body why the plan stopped.
 type workerAction uint8
 
 const (
-	wactNone workerAction = iota
-	wactLockContended
-	wactWait
-	wactGCWake
-	wactOffer
+	wactGCWake workerAction = iota
 	wactShutdown
 )
 
@@ -85,6 +82,9 @@ type workerState struct {
 
 	task      *GCTask
 	taskStart simkit.Time
+
+	cont  jmutex.Contention // blocking manager-monitor acquisition
+	offer offering          // termination offer in progress
 
 	// Chunked tracing accumulator (the plan-resident cfs.Batcher).
 	acc simkit.Time
@@ -114,49 +114,36 @@ func (ws *workerState) init(g *Engine, w int, e *cfs.Env) {
 }
 
 // workerPlan is the plan-driven worker body: it re-enters the state machine
-// after every blocking transition until the manager shuts down.
+// after each GC-wake hook until the manager shuts down.
 func (g *Engine) workerPlan(e *cfs.Env, w int) {
 	ws := &g.wstates[w]
 	ws.init(g, w, e)
 	for {
 		e.ComputePlan(ws.plan)
-		act := ws.action
-		ws.action = wactNone
-		switch act {
-		case wactShutdown:
+		if ws.action == wactShutdown {
 			return
-		case wactLockContended:
-			g.mgr.mon.LockContended(e)
-			ws.pc = wpcLocked
-		case wactWait:
-			g.mgr.mon.WaitFinish(e)
-			ws.pc = wpcLocked
-		case wactGCWake:
-			g.Opt.OnGCWake(e, w)
-			ws.pc = wpcExecStart
-		case wactOffer:
-			ws.finishOffer(e)
 		}
+		g.Opt.OnGCWake(e, w)
+		ws.pc = wpcExecStart
 	}
 }
 
-// finishOffer runs the termination protocol in the body (offer spins, yields
-// and sleeps) and routes the plan to the right continuation, replicating the
-// tail of the legacy runSteal iteration.
-func (ws *workerState) finishOffer(e *cfs.Env) {
+// finishOffer accounts a finished termination offer and routes the plan to
+// the right continuation, replicating the tail of the legacy runSteal
+// iteration.
+func (ws *workerState) finishOffer() {
 	t := ws.task
-	rep := t.rep
-	finished := t.term.offer(e, ws.w)
+	now := ws.g.K.Sim.Now()
 	// A straggler may observe completion only after the pause has ended (it
 	// wakes among resumed mutators); clamp its share of the termination
 	// phase to the pause itself.
-	end := e.Now()
+	end := now
 	if t.term.done && t.term.completedAt > ws.offerAt && t.term.completedAt < end {
 		end = t.term.completedAt
 	}
-	rep.TerminationTime += end - ws.offerAt
-	ws.segStart = e.Now()
-	if finished {
+	t.rep.TerminationTime += end - ws.offerAt
+	ws.segStart = now
+	if ws.offer.finished {
 		ws.pc = wpcTaskDone
 		return
 	}
@@ -165,44 +152,53 @@ func (ws *workerState) finishOffer(e *cfs.Env) {
 }
 
 // step is the worker's cfs.PlanFn. Each call performs the work the legacy
-// loop did between two scheduling points and returns the next plan slice; a
-// (0, false) return hands control back to the body with ws.action set.
-func (ws *workerState) step() (simkit.Time, bool) {
+// loop did between two scheduling points and returns the next operation; a
+// zero-length compute consults it again at once, and cfs.OpDone hands
+// control back to the body with ws.action set.
+func (ws *workerState) step() (cfs.Op, simkit.Time) {
 	g := ws.g
 	m := g.mgr
 	switch ws.pc {
 	case wpcLock:
 		ws.pc = wpcTryLock
-		return m.mon.LockBegin(ws.th), true
+		return cfs.OpCompute, m.mon.LockBegin(ws.th)
 	case wpcTryLock:
 		if !m.mon.TryLockFast(ws.th) {
-			ws.action = wactLockContended
-			return 0, false
+			ws.cont = m.mon.Contended(ws.th)
+			ws.pc = wpcContend
+			return cfs.OpCompute, 0
 		}
 		ws.pc = wpcLocked
-		return 0, true
+		return cfs.OpCompute, 0
+	case wpcContend:
+		if op, d := ws.cont.Step(); op != cfs.OpDone {
+			return op, d
+		}
+		ws.pc = wpcLocked
+		return cfs.OpCompute, 0
 	case wpcLocked:
 		if len(m.queue) == 0 {
 			if m.closed {
 				ws.pc = wpcShutdown
-				return m.mon.UnlockBegin(ws.th), true
+				return cfs.OpCompute, m.mon.UnlockBegin(ws.th)
 			}
 			ws.pc = wpcWaitPark
-			return m.mon.WaitBegin(ws.th), true
+			return cfs.OpCompute, m.mon.WaitBegin(ws.th)
 		}
 		ws.task = m.dequeue(ws.w)
 		ws.pc = wpcDequeued
-		return g.Costs.TaskDequeue, true
+		return cfs.OpCompute, g.Costs.TaskDequeue
 	case wpcWaitPark:
-		ws.action = wactWait
-		return 0, false
+		ws.cont = m.mon.Waiting(ws.th)
+		ws.pc = wpcContend
+		return cfs.OpCompute, 0
 	case wpcShutdown:
 		m.mon.UnlockFinish(ws.th)
 		ws.action = wactShutdown
-		return 0, false
+		return cfs.OpDone, 0
 	case wpcDequeued:
 		ws.pc = wpcUnlocked
-		return m.mon.UnlockBegin(ws.th), true
+		return cfs.OpCompute, m.mon.UnlockBegin(ws.th)
 	case wpcUnlocked:
 		m.mon.UnlockFinish(ws.th)
 		task := ws.task
@@ -217,12 +213,12 @@ func (ws *workerState) step() (simkit.Time, bool) {
 				g.seenEpoch[ws.w] = task.rep.Seq
 				if g.Opt.OnGCWake != nil {
 					ws.action = wactGCWake
-					return 0, false
+					return cfs.OpDone, 0
 				}
 			}
 		}
 		ws.pc = wpcExecStart
-		return 0, true
+		return cfs.OpCompute, 0
 	case wpcExecStart:
 		t := ws.task
 		ws.taskStart = g.K.Sim.Now()
@@ -248,9 +244,9 @@ func (ws *workerState) step() (simkit.Time, bool) {
 			ws.pc = wpcStealChoose
 		case TaskCompact:
 			ws.pc = wpcTaskDone
-			return t.Work, true
+			return cfs.OpCompute, t.Work
 		}
-		return 0, true
+		return cfs.OpCompute, 0
 	case wpcTaskDone:
 		t := ws.task
 		now := g.K.Sim.Now()
@@ -268,7 +264,7 @@ func (ws *workerState) step() (simkit.Time, bool) {
 		}
 		ws.task = nil
 		ws.pc = wpcLock
-		return 0, true
+		return cfs.OpCompute, 0
 
 	case wpcRootScan:
 		t := ws.task
@@ -281,16 +277,16 @@ func (ws *workerState) step() (simkit.Time, bool) {
 			if d, flush := ws.charge(g.Costs.RefScan); flush {
 				ws.pending = id
 				ws.pc = wpcRootVisit
-				return d, true
+				return cfs.OpCompute, d
 			}
 			ws.visit(id)
 		}
 		ws.pc = wpcDrainPop
-		return 0, true
+		return cfs.OpCompute, 0
 	case wpcRootVisit:
 		ws.visit(ws.pending)
 		ws.pc = wpcRootScan
-		return 0, true
+		return cfs.OpCompute, 0
 
 	case wpcOldToYoung:
 		t := ws.task
@@ -305,7 +301,7 @@ func (ws *workerState) step() (simkit.Time, bool) {
 				if d, flush := ws.charge(g.Costs.RefScan); flush {
 					ws.pending = r
 					ws.pc = wpcOldToYoungVisit
-					return d, true
+					return cfs.OpCompute, d
 				}
 				ws.visit(r)
 			}
@@ -313,17 +309,17 @@ func (ws *workerState) step() (simkit.Time, bool) {
 			ws.rootIdx++
 		}
 		ws.pc = wpcDrainPop
-		return 0, true
+		return cfs.OpCompute, 0
 	case wpcOldToYoungVisit:
 		ws.visit(ws.pending)
 		ws.pc = wpcOldToYoung
-		return 0, true
+		return cfs.OpCompute, 0
 
 	case wpcDrainPop:
 		id, ok := g.queues[ws.w].PopBottom()
 		if !ok {
 			ws.pc = ws.afterDrain
-			return 0, true
+			return cfs.OpCompute, 0
 		}
 		return ws.stepObject(id)
 	case wpcStepRefs:
@@ -337,19 +333,19 @@ func (ws *workerState) step() (simkit.Time, bool) {
 			if d, flush := ws.charge(g.Costs.RefScan); flush {
 				ws.pending = r
 				ws.pc = wpcStepRefVisit
-				return d, true
+				return cfs.OpCompute, d
 			}
 			ws.visit(r)
 		}
 		ws.pc = wpcDrainPop
-		return 0, true
+		return cfs.OpCompute, 0
 	case wpcStepRefVisit:
 		ws.visit(ws.pending)
 		ws.pc = wpcStepRefs
-		return 0, true
+		return cfs.OpCompute, 0
 	case wpcFlush:
 		ws.pc = wpcTaskDone
-		return ws.flush(), true
+		return cfs.OpCompute, ws.flush()
 
 	case wpcStealChoose:
 		victim := g.policy.ChooseVictim(ws.w, g.pool, g.K.Sim.Rand())
@@ -357,7 +353,7 @@ func (ws *workerState) step() (simkit.Time, bool) {
 		ws.task.rep.StealAttempts++
 		ws.victim = victim
 		ws.pc = wpcStealResult
-		return g.Costs.StealAttempt, true
+		return cfs.OpCompute, g.Costs.StealAttempt
 	case wpcStealResult:
 		t := ws.task
 		if ws.victim >= 0 {
@@ -368,7 +364,7 @@ func (ws *workerState) step() (simkit.Time, bool) {
 				ws.acc = 0 // fresh tracing batch for the stolen subgraph
 				ws.afterDrain = wpcStealDrained
 				ws.pc = wpcDrainPop
-				return 0, true
+				return cfs.OpCompute, 0
 			}
 		}
 		g.policy.RecordResult(ws.w, ws.victim, false)
@@ -379,18 +375,25 @@ func (ws *workerState) step() (simkit.Time, bool) {
 			now := g.K.Sim.Now()
 			t.rep.StealWorkTime += now - ws.segStart
 			ws.offerAt = now
-			ws.action = wactOffer
-			return 0, false
+			ws.offer.begin(t.term, ws.w)
+			ws.pc = wpcOffer
+			return cfs.OpCompute, 0
 		}
 		ws.pc = wpcStealChoose
-		return 0, true
+		return cfs.OpCompute, 0
 	case wpcStealDrained:
 		ws.pc = wpcStealFlushed
-		return ws.flush(), true
+		return cfs.OpCompute, ws.flush()
 	case wpcStealFlushed:
 		ws.fails = 0
 		ws.pc = wpcStealChoose
-		return 0, true
+		return cfs.OpCompute, 0
+	case wpcOffer:
+		if op, d := ws.offer.step(ws.th); op != cfs.OpDone {
+			return op, d
+		}
+		ws.finishOffer()
+		return cfs.OpCompute, 0
 	}
 	panic("pscavenge: invalid worker plan state")
 }
@@ -398,7 +401,7 @@ func (ws *workerState) step() (simkit.Time, bool) {
 // stepObject performs the copy/mark half of one drain step (the legacy
 // scavengeStep/markStep up to the reference loop) and routes to the
 // reference scan, charging the object cost into the tracing batch.
-func (ws *workerState) stepObject(id heap.ObjID) (simkit.Time, bool) {
+func (ws *workerState) stepObject(id heap.ObjID) (cfs.Op, simkit.Time) {
 	g := ws.g
 	h := g.H
 	rep := ws.task.rep
@@ -406,7 +409,7 @@ func (ws *workerState) stepObject(id heap.ObjID) (simkit.Time, bool) {
 	if ws.mark {
 		size, first := h.Mark(id)
 		if !first {
-			return 0, true // stay in wpcDrainPop
+			return cfs.OpCompute, 0 // stay in wpcDrainPop
 		}
 		rep.CopiedObjects++
 		rep.CopiedBytes += int64(size)
@@ -417,7 +420,7 @@ func (ws *workerState) stepObject(id heap.ObjID) (simkit.Time, bool) {
 	} else {
 		size, promoted, first := h.CopyYoung(id)
 		if !first {
-			return 0, true
+			return cfs.OpCompute, 0
 		}
 		rep.CopiedObjects++
 		rep.CopiedBytes += int64(size)
@@ -433,9 +436,9 @@ func (ws *workerState) stepObject(id heap.ObjID) (simkit.Time, bool) {
 	ws.refIdx = 0
 	ws.pc = wpcStepRefs
 	if d, flush := ws.charge(cost); flush {
-		return d, true
+		return cfs.OpCompute, d
 	}
-	return 0, true
+	return cfs.OpCompute, 0
 }
 
 // charge accrues d of tracing work; when the accumulator reaches ChunkWork
